@@ -181,6 +181,9 @@ def main(argv=None) -> int:
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply for this command", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -55,6 +55,19 @@ class Avm(FeatureTerm):
                 kept.append((key, value))
         object.__setattr__(self, "entries", tuple(kept))
 
+    @classmethod
+    def _rebuilt(cls, entries: Iterable[tuple[str, FeatureTerm]]) -> Avm:
+        """An AVM from entries whose keys are known to be unique.
+
+        Skips the duplicate check of the constructor but still drops
+        entries whose value became top.
+        """
+        avm = object.__new__(cls)
+        object.__setattr__(
+            avm, "entries", tuple(entry for entry in entries if not is_top(entry[1]))
+        )
+        return avm
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Avm is immutable")
 
@@ -137,19 +150,40 @@ def occurs(name: str, term: FeatureTerm) -> bool:
 
 
 def apply(subst: Substitution, term: FeatureTerm) -> FeatureTerm:
-    """Replace bound variables in `term`; unbound variables stay."""
+    """Replace bound variables in `term`; unbound variables stay.
+
+    Subterms without a bound variable are shared, not copied: the result
+    is `term` itself when nothing in it changed.
+    """
+    if not subst.bindings:
+        return term
+    return _substitute(subst.bindings, term)
+
+
+def _substitute(bindings: dict[str, FeatureTerm], term: FeatureTerm) -> FeatureTerm:
     if isinstance(term, Var):
-        bound = subst.get(term.name)
-        return term if bound is None else bound
+        return bindings.get(term.name, term)
     if isinstance(term, Avm):
-        if not term.entries:
-            return term
-        return Avm((k, apply(subst, v)) for k, v in term.entries)
+        changed = False
+        entries = []
+        for key, value in term.entries:
+            new = _substitute(bindings, value)
+            changed = changed or new is not value
+            entries.append((key, new))
+        return Avm._rebuilt(entries) if changed else term
     return term
 
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """Substitution with apply(compose(outer, inner), t) = apply(outer, apply(inner, t))."""
+    """Substitution with apply(compose(outer, inner), t) = apply(outer, apply(inner, t)).
+
+    No substitution built here binds a variable to itself, so an
+    identity side leaves the other one as it is.
+    """
+    if not outer.bindings:
+        return inner
+    if not inner.bindings:
+        return outer
     out: dict[str, FeatureTerm] = {}
     for name, term in inner.bindings.items():
         term = apply(outer, term)
@@ -211,7 +245,8 @@ def _unify(a, b, sigma):
     for key, value in b.entries:
         if key not in a_keys:
             merged.append((key, value))
-    return Avm(merged), sigma
+    # Keys of `merged` are unique: b contributes only keys a lacks.
+    return Avm._rebuilt(merged), sigma
 
 
 def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, Substitution]]:
@@ -228,11 +263,17 @@ def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, S
 
 
 def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:
-    """Rename every variable v to prefix.v."""
+    """Rename every variable v to prefix.v; variable-free subterms are shared."""
     if isinstance(term, Var):
         return Var(prefix + "." + term.name)
     if isinstance(term, Avm):
-        return Avm((k, freshen(v, prefix)) for k, v in term.entries)
+        changed = False
+        entries = []
+        for key, value in term.entries:
+            new = freshen(value, prefix)
+            changed = changed or new is not value
+            entries.append((key, new))
+        return Avm._rebuilt(entries) if changed else term
     return term
 
 

@@ -176,7 +176,7 @@ def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
     """
     if grammar.form != "lc":
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'lc'")
-    sites = dict(grammar.sites)
+    sites = grammar.index.sites
 
     def hole(kind: str, sub: DerivTree) -> DerivTree:
         return adjunct(sub) if kind == "adj" else landing(sub)
@@ -236,7 +236,7 @@ def lc_image(grammar: FbRtg, tree: DerivTree) -> DerivTree:
     """
     if grammar.form != "standard":
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'standard'")
-    sites = dict(grammar.sites)
+    sites = grammar.index.sites
 
     def hole(kind: str, sub: DerivTree) -> DerivTree:
         return adjunct(sub) if kind == "adj" else landing(sub)

@@ -14,7 +14,8 @@ accumulated substitution.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from tagrtg.features import (
@@ -121,6 +122,23 @@ class PositionError(GrammarError):
     pass
 
 
+class GrammarIndex:
+    """Lookup tables over a grammar's declarations and rules.
+
+    Every rule list keeps grammar rule order, which fixes the order in
+    which derivations try their candidates.
+    """
+
+    def __init__(self, grammar: FbRtg):
+        self.ranks: dict[str, int] = dict(grammar.terminals)
+        self.sites: dict[str, SiteInfo] = dict(grammar.sites)
+        self.by_lhs: dict[Nonterminal, list[FbRule]] = {}
+        self.by_shape: dict[tuple[Nonterminal, str, int], list[FbRule]] = {}
+        for rule in grammar.rules:
+            self.by_lhs.setdefault(rule.lhs, []).append(rule)
+            self.by_shape.setdefault((rule.lhs, rule.terminal, rule.rank), []).append(rule)
+
+
 @dataclass(frozen=True)
 class FbRtg:
     axiom: Nonterminal
@@ -130,20 +148,17 @@ class FbRtg:
     form: str = "standard"
     sites: tuple[tuple[str, SiteInfo], ...] = ()
 
-    def terminal_rank(self, name: str) -> Optional[int]:
-        for terminal, rank in self.terminals:
-            if terminal == name:
-                return rank
-        return None
+    @functools.cached_property
+    def index(self) -> GrammarIndex:
+        """Built on first use; not a field, so equality, hashing, repr and
+        dataclasses.replace ignore it."""
+        return GrammarIndex(self)
 
-    def rules_for(self, nt: Nonterminal) -> tuple[FbRule, ...]:
-        return tuple(rule for rule in self.rules if rule.lhs == nt)
+    def terminal_rank(self, name: str) -> Optional[int]:
+        return self.index.ranks.get(name)
 
     def site(self, terminal: str) -> Optional[SiteInfo]:
-        for name, info in self.sites:
-            if name == terminal:
-                return info
-        return None
+        return self.index.sites.get(terminal)
 
     @property
     def is_plain(self) -> bool:
@@ -351,9 +366,7 @@ def _expand(grammar, obligations, pick, max_depth, stats):
     index = pick if pick == 0 else len(obligations) - 1
     pos, depth, nt, feat = obligations[index]
     rest = obligations[:index] + obligations[index + 1 :]
-    for rule in grammar.rules:
-        if rule.lhs != nt:
-            continue
+    for rule in grammar.index.by_lhs.get(nt, ()):
         if rule.rhs and depth >= max_depth:
             continue
         if stats is not None:
@@ -430,6 +443,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     position any candidate run reached before getting stuck.
     """
     _check_alphabet(grammar, tree)
+    by_shape = grammar.index.by_shape
     deepest = {"index": 0, "pos": ROOT, "msg": "no rule applied"}
 
     def note(index, pos, msg):
@@ -441,11 +455,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             return trace, env
         (pos, node, nt, feat), rest = obligations[0], obligations[1:]
         index = len(trace) + 1
-        candidates = [
-            rule
-            for rule in grammar.rules
-            if rule.lhs == nt and rule.terminal == node.label and rule.rank == len(node.children)
-        ]
+        candidates = by_shape.get((nt, node.label, len(node.children)))
         if not candidates:
             note(index, pos, f"no rule rewrites {nt} to {node.label!r}")
             return None
@@ -618,44 +628,49 @@ def _eliminate_forced_slots(grammar: FbRtg, rules: list[FbRule]):
 
 
 def _productive(rules: list[FbRule]) -> set[Nonterminal]:
+    """Worklist fixpoint: a rule fires once all its distinct slot
+    nonterminals are known to be productive."""
+    waiting: list[int] = []
+    users: dict[Nonterminal, list[int]] = {}
+    ready: list[Nonterminal] = []
+    for i, rule in enumerate(rules):
+        slots = {nt for nt, _ in rule.rhs}
+        waiting.append(len(slots))
+        for nt in slots:
+            users.setdefault(nt, []).append(i)
+        if not slots:
+            ready.append(rule.lhs)
     productive: set[Nonterminal] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.lhs in productive:
-                continue
-            if all(nt in productive for nt, _ in rule.rhs):
-                productive.add(rule.lhs)
-                changed = True
+    while ready:
+        nt = ready.pop()
+        if nt in productive:
+            continue
+        productive.add(nt)
+        for i in users.get(nt, ()):
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(rules[i].lhs)
     return productive
 
 
-def _reachable(axiom: Nonterminal, rules: list[FbRule]) -> set[Nonterminal]:
-    reachable = {axiom}
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.lhs in reachable:
-                for nt, _ in rule.rhs:
-                    if nt not in reachable:
-                        reachable.add(nt)
-                        changed = True
-    return reachable
-
-
 def _dfs_order(axiom: Nonterminal, rules: list[FbRule]) -> list[Nonterminal]:
-    order: list[Nonterminal] = []
-    def visit(nt):
-        if nt in order:
-            return
-        order.append(nt)
-        for rule in rules:
-            if rule.lhs == nt:
-                for slot_nt, _ in rule.rhs:
-                    visit(slot_nt)
-    visit(axiom)
+    """The nonterminals reachable from the axiom, in depth-first preorder:
+    rules in order, slots left to right."""
+    successors: dict[Nonterminal, list[Nonterminal]] = {}
+    for rule in rules:
+        successors.setdefault(rule.lhs, []).extend(nt for nt, _ in rule.rhs)
+    order = [axiom]
+    seen = {axiom}
+    stack = [iter(successors.get(axiom, ()))]
+    while stack:
+        for nt in stack[-1]:
+            if nt not in seen:
+                seen.add(nt)
+                order.append(nt)
+                stack.append(iter(successors.get(nt, ())))
+                break
+        else:
+            stack.pop()
     return order
 
 
@@ -671,10 +686,10 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     rules, terminals, sites = _eliminate_forced_slots(grammar, list(grammar.rules))
     productive = _productive(rules)
     rules = [r for r in rules if all(nt in productive for nt, _ in r.rhs)]
-    reachable = _reachable(grammar.axiom, rules)
+    order = _dfs_order(grammar.axiom, rules)
+    reachable = set(order)
     rules = [r for r in rules if r.lhs in reachable]
 
-    order = _dfs_order(grammar.axiom, rules)
     nts = [nt for nt in order]
     for nt in order:
         if nt.flavor is Flavor.ADJOIN:

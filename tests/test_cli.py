@@ -137,6 +137,16 @@ def test_bad_input_exits_2_with_diagnostics(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_too_deep_tree_is_an_error_not_a_rejection(capsys):
+    depth = 3000
+    chain = "the(" * depth + "e_A" + ")" * depth
+    tree = f"caught(cats({chain}), e_A, fish(e_A))"
+    assert main(["check", str(GOLDEN / "example1.rtg"), tree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_translate_rejects_broken_grammar_files(tmp_path, capsys):
     bad = tmp_path / "bad.tag"
     bad.write_text("start: X;\ninitial n { (X kind=adj }\n")

@@ -135,6 +135,36 @@ def test_avm_drops_top_valued_entries():
 def test_avm_rejects_duplicate_keys():
     with pytest.raises(ValueError):
         Avm((("agr", Atom("3sg")), ("agr", Atom("3pl"))))
+    with pytest.raises(FeatureSyntaxError):
+        parse_feature("[a: x, a: y]")
+
+
+def test_identity_substitution_returns_the_term_itself():
+    term = avm(top=Var("t"), bot=avm(agr=Var("x")))
+    assert apply(IDENTITY, term) is term
+
+
+def test_apply_shares_subterms_without_bound_variables():
+    term = avm(top=Var("t"), bot=avm(agr=Atom("3sg")))
+    assert apply(Substitution({"y": Atom("3pl")}), term) is term
+    bound = apply(Substitution({"t": Atom("3pl")}), term)
+    assert bound == avm(top=Atom("3pl"), bot=avm(agr=Atom("3sg")))
+    assert bound.get("bot") is term.get("bot")
+
+
+def test_apply_drops_entries_bound_to_top():
+    assert apply(Substitution({"x": TOP}), Avm([("a", Var("x"))])) == TOP
+
+
+def test_freshen_returns_variable_free_terms_themselves():
+    term = avm(agr=Atom("3sg"), det=avm(def_=Atom("+")))
+    assert freshen(term, "1.2") is term
+
+
+def test_compose_with_identity_keeps_the_other_side():
+    sigma = Substitution({"x": Atom("a")})
+    assert compose(IDENTITY, sigma) is sigma
+    assert compose(sigma, IDENTITY) is sigma
 
 
 def test_avm_equality_ignores_entry_order():

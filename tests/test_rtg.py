@@ -6,6 +6,8 @@ chain), 35 of height at most 4 and 2 of height at most 3, while the
 plain skeleton has 192 trees of height at most 4.
 """
 
+import dataclasses
+
 import pytest
 
 from tagrtg.features import Atom, apply, parse_feature
@@ -28,6 +30,7 @@ from tagrtg.rtg import (
     open_positions,
     reduce_grammar,
 )
+from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.trees import parse_tree
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
@@ -338,3 +341,66 @@ def test_rule_rendering(feature_grammar):
         "NP_S [top: ?t] -> fish(NP_A [top: ?t])",
     ]
     assert str(feature_grammar.rules[6]) == "NP_A [top: ?v, bot: ?v] -> e_A"
+
+
+def test_reduce_handles_long_nonterminal_chains():
+    # N0 -> f(N1), ..., N2998 -> f(N2999), N2999 -> a
+    chain = tuple(Nonterminal(f"N{i}") for i in range(3000))
+    rules = tuple(FbRule(nt, (), "f", ((below, ()),)) for nt, below in zip(chain, chain[1:]))
+    grammar = FbRtg(
+        axiom=chain[0],
+        nonterminals=chain,
+        terminals=(("a", 0), ("f", 1)),
+        rules=rules + (FbRule(chain[-1], (), "a", ()),),
+    )
+    assert reduce_grammar(grammar) == grammar
+    assert reduce_grammar(dataclasses.replace(grammar, rules=rules)).rules == ()
+
+
+# ---------------------------------------------------------------- index
+
+
+def _ambiguous_grammar():
+    x, y = Nonterminal("X"), Nonterminal("Y")
+    return FbRtg(
+        axiom=x,
+        nonterminals=(x, y),
+        terminals=(("a", 0), ("b", 0), ("f", 1)),
+        rules=(
+            FbRule(x, (), "f", ((x, ()),)),
+            FbRule(x, (), "f", ((y, ()),)),
+            FbRule(y, (), "f", ((x, ()),)),
+            FbRule(y, (), "f", ((y, ()),)),
+            FbRule(x, (), "a", ()),
+            FbRule(y, (), "b", ()),
+        ),
+    )
+
+
+def test_index_is_invisible_to_equality_repr_and_format(feature_grammar):
+    grammar = dataclasses.replace(feature_grammar)
+    before = repr(grammar)
+    assert accepts(grammar, GOOD)
+    assert grammar.terminal_rank("caught") == 3
+    assert repr(grammar) == before
+    assert grammar == dataclasses.replace(grammar) == feature_grammar
+    assert hash(grammar) == hash(feature_grammar)
+    assert parse_rtg(format_rtg(grammar)) == grammar
+
+
+def test_replaced_rules_get_a_fresh_index():
+    grammar = _ambiguous_grammar()
+    tree = parse_tree("f(f(a))")
+    original = list(enumerate_trees(grammar, 3))
+    original_trace = [str(s) for s in accepts_detailed(grammar, tree).steps]
+    reversed_rules = tuple(reversed(grammar.rules))
+    replaced = dataclasses.replace(grammar, rules=reversed_rules)
+    direct = FbRtg(
+        axiom=grammar.axiom,
+        nonterminals=grammar.nonterminals,
+        terminals=grammar.terminals,
+        rules=reversed_rules,
+    )
+    assert list(enumerate_trees(replaced, 3)) == list(enumerate_trees(direct, 3)) != original
+    trace = [str(s) for s in accepts_detailed(replaced, tree).steps]
+    assert trace == [str(s) for s in accepts_detailed(direct, tree).steps] != original_trace
