@@ -111,9 +111,6 @@ class Substitution:
     def get(self, name: str) -> Optional[FeatureTerm]:
         return self.bindings.get(name)
 
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.bindings)
-
     def is_identity(self) -> bool:
         return not self.bindings
 

@@ -165,6 +165,32 @@ def _check_arity(tree: DerivTree, expected: int) -> None:
         )
 
 
+def _map_sites(sites: dict, tree: DerivTree, landing) -> DerivTree:
+    """Map a derivation tree site by site, starting at a substitution site.
+
+    Adjunction sites keep their trees and are mapped slot by slot;
+    `landing(sub, hole)` maps the subtree at a substitution site and
+    calls `hole(kind, child)` on each slot below it.
+    """
+
+    def hole(kind: str, sub: DerivTree) -> DerivTree:
+        if kind != "adj":
+            return landing(sub, hole)
+        if sub.label == EPS_ADJOIN:
+            _check_arity(sub, 0)
+            return sub
+        info = _site(sites, sub.label, "expected e_A or an auxiliary tree")
+        if info.tree_kind != "auxiliary":
+            raise MalformedLcTree(f"adjunction site holds initial tree {sub.label!r}")
+        _check_arity(sub, len(info.slot_kinds))
+        return DerivTree(
+            sub.label,
+            tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
+        )
+
+    return landing(tree, hole)
+
+
 def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
     """Map a derivation tree of the transformed grammar back.
 
@@ -178,54 +204,38 @@ def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'lc'")
     sites = grammar.index.sites
 
-    def hole(kind: str, sub: DerivTree) -> DerivTree:
-        return adjunct(sub) if kind == "adj" else landing(sub)
-
-    def landing(sub: DerivTree) -> DerivTree:
-        if sub.label == EPS_SUBST:
-            _check_arity(sub, 1)
-            return chain(sub.children[0], DerivTree(EPS_ADJOIN))
-        info = _site(sites, sub.label, "expected e_S or an initial tree")
-        if info.tree_kind != "initial" or info.root_active:
-            raise MalformedLcTree(
-                f"substitution site holds {sub.label!r} instead of e_S"
-            )
-        _check_arity(sub, len(info.slot_kinds))
-        return DerivTree(
-            sub.label,
-            tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-        )
-
-    def chain(sub: DerivTree, stacked: DerivTree) -> DerivTree:
-        info = _site(sites, sub.label, "expected an adjunction chain")
-        rest = info.slot_kinds[1:]
-        if info.tree_kind == "initial":
-            if not info.root_active:
+    def landing(sub: DerivTree, hole) -> DerivTree:
+        if sub.label != EPS_SUBST:
+            info = _site(sites, sub.label, "expected e_S or an initial tree")
+            if info.tree_kind != "initial" or info.root_active:
                 raise MalformedLcTree(
-                    f"initial tree {sub.label!r} cannot land an adjunction chain"
+                    f"substitution site holds {sub.label!r} instead of e_S"
                 )
-            _check_arity(sub, len(rest))
-            others = tuple(hole(k, c) for k, c in zip(rest, sub.children))
-            return DerivTree(sub.label, (stacked,) + others)
-        _check_arity(sub, len(rest) + 1)
-        others = tuple(hole(k, c) for k, c in zip(rest, sub.children[1:]))
-        grown = DerivTree(sub.label, (stacked,) + others)
-        return chain(sub.children[0], grown)
+            _check_arity(sub, len(info.slot_kinds))
+            return DerivTree(
+                sub.label,
+                tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
+            )
+        _check_arity(sub, 1)
+        stacked = DerivTree(EPS_ADJOIN)
+        sub = sub.children[0]
+        while True:
+            info = _site(sites, sub.label, "expected an adjunction chain")
+            rest = info.slot_kinds[1:]
+            if info.tree_kind == "initial":
+                if not info.root_active:
+                    raise MalformedLcTree(
+                        f"initial tree {sub.label!r} cannot land an adjunction chain"
+                    )
+                _check_arity(sub, len(rest))
+                others = tuple(hole(k, c) for k, c in zip(rest, sub.children))
+                return DerivTree(sub.label, (stacked,) + others)
+            _check_arity(sub, len(rest) + 1)
+            others = tuple(hole(k, c) for k, c in zip(rest, sub.children[1:]))
+            stacked = DerivTree(sub.label, (stacked,) + others)
+            sub = sub.children[0]
 
-    def adjunct(sub: DerivTree) -> DerivTree:
-        if sub.label == EPS_ADJOIN:
-            _check_arity(sub, 0)
-            return sub
-        info = _site(sites, sub.label, "expected e_A or an auxiliary tree")
-        if info.tree_kind != "auxiliary":
-            raise MalformedLcTree(f"adjunction site holds initial tree {sub.label!r}")
-        _check_arity(sub, len(info.slot_kinds))
-        return DerivTree(
-            sub.label,
-            tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-        )
-
-    return landing(tree)
+    return _map_sites(sites, tree, landing)
 
 
 def lc_image(grammar: FbRtg, tree: DerivTree) -> DerivTree:
@@ -238,10 +248,7 @@ def lc_image(grammar: FbRtg, tree: DerivTree) -> DerivTree:
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'standard'")
     sites = grammar.index.sites
 
-    def hole(kind: str, sub: DerivTree) -> DerivTree:
-        return adjunct(sub) if kind == "adj" else landing(sub)
-
-    def landing(sub: DerivTree) -> DerivTree:
+    def landing(sub: DerivTree, hole) -> DerivTree:
         info = _site(sites, sub.label, "expected an initial tree")
         if info.tree_kind != "initial":
             raise MalformedLcTree(f"substitution site holds {sub.label!r}")
@@ -267,17 +274,4 @@ def lc_image(grammar: FbRtg, tree: DerivTree) -> DerivTree:
         _check_arity(stack, 0)
         return DerivTree(EPS_SUBST, (grown,))
 
-    def adjunct(sub: DerivTree) -> DerivTree:
-        if sub.label == EPS_ADJOIN:
-            _check_arity(sub, 0)
-            return sub
-        info = _site(sites, sub.label, "expected e_A or an auxiliary tree")
-        if info.tree_kind != "auxiliary":
-            raise MalformedLcTree(f"adjunction site holds initial tree {sub.label!r}")
-        _check_arity(sub, len(info.slot_kinds))
-        return DerivTree(
-            sub.label,
-            tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-        )
-
-    return landing(tree)
+    return _map_sites(sites, tree, landing)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from itertools import repeat
+from typing import Iterator, Optional
 
 from tagrtg.features import (
     IDENTITY,
@@ -115,10 +116,6 @@ class AlphabetError(GrammarError):
 
 
 class NonterminalMismatch(GrammarError):
-    pass
-
-
-class PositionError(GrammarError):
     pass
 
 
@@ -226,175 +223,104 @@ def derive_step(
     return sigma, tuple(apply(sigma, t) for t in slot_terms)
 
 
-@dataclass(frozen=True)
-class OpenLeaf:
-    nt: Nonterminal
-    feat: FeatureTerm = TOP
+def _derivations(grammar, root, expand, fail):
+    """Every leftmost derivation from the axiom, depth first, backtracking
+    over an explicit stack of frames, one per rewrite on the current path.
 
-
-@dataclass(frozen=True)
-class SApp:
-    terminal: str
-    children: tuple[SententialTerm, ...] = ()
-
-
-SententialTerm = Union[OpenLeaf, SApp]
-
-
-@dataclass(frozen=True)
-class SententialState:
-    """A sentential term together with the accumulated environment.
-
-    Open leaves store their feature terms as written by the rules that
-    created them; the environment is applied when a leaf is rewritten,
-    so bindings travel between branches.
+    A leaf is (position, guide, nonterminal, feature term).
+    `expand(index, leaf)` returns the rules to try at the leaf that step
+    `index` rewrites, in order, and the guides of a rule's slots;
+    `fail(index, leaf, rule)` hears of each rule that does not fire.
+    Every step's unifier is applied to the pending leaves, so bindings
+    travel between branches.  A complete derivation comes out as a chain
+    of steps (position, rule, sigma, previous step), last step first.
     """
-
-    term: SententialTerm
-    env: Substitution = IDENTITY
-
-
-def initial_state(grammar: FbRtg) -> SententialState:
-    return SententialState(OpenLeaf(grammar.axiom, TOP), IDENTITY)
-
-
-def _leaf_at(term: SententialTerm, position: str) -> OpenLeaf:
-    steps = [] if position == ROOT else position.split(".")
-    here = ROOT
-    for step in steps:
-        if not isinstance(term, SApp) or not step.isdigit():
-            raise PositionError(f"no open leaf at {position}: stuck at {here}")
-        index = int(step)
-        if not 1 <= index <= len(term.children):
-            raise PositionError(f"no open leaf at {position}: stuck at {here}")
-        term = term.children[index - 1]
-        here = child_position(here, index)
-    if not isinstance(term, OpenLeaf):
-        raise PositionError(f"position {position} is already rewritten")
-    return term
-
-
-def _replace_at(term: SententialTerm, position: str, new: SententialTerm) -> SententialTerm:
-    if position == ROOT:
-        return new
-    steps = [int(s) for s in position.split(".")]
-
-    def rebuild(node, depth):
-        if depth == len(steps):
-            return new
-        index = steps[depth] - 1
-        children = list(node.children)
-        children[index] = rebuild(children[index], depth + 1)
-        return SApp(node.terminal, tuple(children))
-
-    return rebuild(term, 0)
+    leaf = (ROOT, root, grammar.axiom, TOP)
+    rules, guides = expand(1, leaf)
+    stack = [(iter(rules), leaf, (), None, guides)]
+    while stack:
+        rules, leaf, pending, chain, guides = stack[-1]
+        pos, _, _, feat = leaf
+        for rule in rules:
+            step = derive_step(rule, feat, pos)
+            if step is None:
+                fail(len(stack), leaf, rule)
+                continue
+            sigma, slot_terms = step
+            grown = tuple(
+                (child_position(pos, i), guide, slot_nt, term)
+                for i, ((slot_nt, _), term, guide) in enumerate(
+                    zip(rule.rhs, slot_terms, guides), start=1
+                )
+            )
+            rest = pending
+            if not sigma.is_identity():
+                rest = tuple((p, g, n, apply(sigma, f)) for p, g, n, f in rest)
+            rest = grown + rest
+            link = (pos, rule, sigma, chain)
+            if not rest:
+                yield link
+                continue
+            below = rest[0]
+            below_rules, below_guides = expand(len(stack) + 1, below)
+            stack.append((iter(below_rules), below, rest[1:], link, below_guides))
+            break
+        else:
+            stack.pop()
 
 
-def narrow(state: SententialState, position: str, rule: FbRule) -> Optional[SententialState]:
-    """Rewrite the open leaf at `position` with `rule`, unifying as we go.
-
-    The environment is applied to the leaf's constraint first, the step
-    unifier is composed onto the environment afterwards.  Returns None
-    when unification fails; raises PositionError when the address does
-    not hold an open leaf and NonterminalMismatch when the rule does
-    not rewrite the leaf's nonterminal.
-    """
-    leaf = _leaf_at(state.term, position)
-    if leaf.nt != rule.lhs:
-        raise NonterminalMismatch(f"rule rewrites {rule.lhs}, leaf at {position} holds {leaf.nt}")
-    step = derive_step(rule, apply(state.env, leaf.feat), position)
-    if step is None:
-        return None
-    sigma, slot_terms = step
-    grown = SApp(
-        rule.terminal,
-        tuple(OpenLeaf(nt, term) for (nt, _), term in zip(rule.rhs, slot_terms)),
-    )
-    return SententialState(_replace_at(state.term, position, grown), compose(sigma, state.env))
-
-
-def open_positions(state: SententialState) -> tuple[tuple[str, OpenLeaf], ...]:
-    """The addresses still waiting for a rewrite, leftmost first."""
-    found: list[tuple[str, OpenLeaf]] = []
-
-    def scan(term, pos):
-        if isinstance(term, OpenLeaf):
-            found.append((pos, term))
-            return
-        for i, child in enumerate(term.children, start=1):
-            scan(child, child_position(pos, i))
-
-    scan(state.term, ROOT)
-    return tuple(found)
+def _counted(rules, stats):
+    """Count each rule as attempted when the engine takes it, so a run
+    that stops early counts only what it tried."""
+    for rule in rules:
+        stats["steps"] += 1
+        yield rule
 
 
 def enumerate_trees(
     grammar: FbRtg,
     max_depth: int,
-    strategy: str = "leftmost",
     stats: Optional[dict] = None,
 ) -> Iterator[DerivTree]:
     """Generate the derivation trees of height at most `max_depth`.
 
     The depth bound is mandatory: feature constraints frequently leave
-    the language infinite.  Trees come out in rule order under the
-    chosen rewriting strategy, and distinct runs that assemble the same
-    tree yield it once; `stats`, when given, accumulates the number of
-    attempted and failed rule applications.
+    the language infinite.  Trees come out in rule order under leftmost
+    rewriting, and distinct runs that assemble the same tree yield it
+    once; `stats`, when given, accumulates the number of attempted and
+    failed rule applications.
     """
     if max_depth < 1:
         return
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    pick = 0 if strategy == "leftmost" else -1
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("failures", 0)
-    start = ((ROOT, 1, grammar.axiom, TOP),)
+    by_lhs = grammar.index.by_lhs
+    leaf_rules = {nt: [r for r in rules if not r.rhs] for nt, rules in by_lhs.items()}
+
+    def expand(index, leaf):
+        _, depth, nt, _ = leaf
+        rules = by_lhs.get(nt, ()) if depth < max_depth else leaf_rules.get(nt, ())
+        if stats is not None:
+            rules = _counted(rules, stats)
+        return rules, repeat(depth + 1)
+
+    def fail(index, leaf, rule):
+        if stats is not None:
+            stats["failures"] += 1
+
     seen = set()
-    for assignment in _expand(grammar, start, pick, max_depth, stats):
-        tree = _build(assignment, ROOT)
+    for chain in _derivations(grammar, 1, expand, fail):
+        # Leftmost steps come in preorder, so the last step is the
+        # rightmost leaf and each rule finds its subtrees on top.
+        built: list[DerivTree] = []
+        while chain is not None:
+            _, rule, _, chain = chain
+            built.append(DerivTree(rule.terminal, tuple(built.pop() for _ in rule.rhs)))
+        tree = built[0]
         if tree not in seen:
             seen.add(tree)
             yield tree
-
-
-def _expand(grammar, obligations, pick, max_depth, stats):
-    if not obligations:
-        yield {}
-        return
-    index = pick if pick == 0 else len(obligations) - 1
-    pos, depth, nt, feat = obligations[index]
-    rest = obligations[:index] + obligations[index + 1 :]
-    for rule in grammar.index.by_lhs.get(nt, ()):
-        if rule.rhs and depth >= max_depth:
-            continue
-        if stats is not None:
-            stats["steps"] += 1
-        step = derive_step(rule, feat, pos)
-        if step is None:
-            if stats is not None:
-                stats["failures"] += 1
-            continue
-        sigma, slot_terms = step
-        grown = tuple(
-            (child_position(pos, i), depth + 1, slot_nt, term)
-            for i, ((slot_nt, _), term) in enumerate(zip(rule.rhs, slot_terms), start=1)
-        )
-        updated = tuple((p, d, n, apply(sigma, f)) for p, d, n, f in rest)
-        if pick == 0:
-            remaining = grown + updated
-        else:
-            remaining = updated + grown
-        for assignment in _expand(grammar, remaining, pick, max_depth, stats):
-            assignment[pos] = (rule.terminal, rule.rank)
-            yield assignment
-
-
-def _build(assignment, pos):
-    label, rank = assignment[pos]
-    children = tuple(_build(assignment, child_position(pos, i)) for i in range(1, rank + 1))
-    return DerivTree(label, children)
 
 
 # -------------------------------------------------------------- checking
@@ -450,39 +376,20 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
         if index >= deepest["index"]:
             deepest.update(index=index, pos=pos, msg=msg)
 
-    def walk(obligations, env, trace):
-        if not obligations:
-            return trace, env
-        (pos, node, nt, feat), rest = obligations[0], obligations[1:]
-        index = len(trace) + 1
-        candidates = by_shape.get((nt, node.label, len(node.children)))
-        if not candidates:
+    def expand(index, leaf):
+        pos, node, nt, _ = leaf
+        rules = by_shape.get((nt, node.label, len(node.children)))
+        if not rules:
             note(index, pos, f"no rule rewrites {nt} to {node.label!r}")
-            return None
-        for rule in candidates:
-            step = derive_step(rule, feat, pos)
-            if step is None:
-                note(index, pos, f"cannot apply {rule}: constraint clash with {format_feature(feat)}")
-                continue
-            sigma, slot_terms = step
-            grown = tuple(
-                (child_position(pos, i), child, slot_nt, term)
-                for i, (child, (slot_nt, _), term) in enumerate(
-                    zip(node.children, rule.rhs, slot_terms), start=1
-                )
-            )
-            updated = tuple((p, n, k, apply(sigma, f)) for p, n, k, f in rest)
-            result = walk(
-                grown + updated,
-                compose(sigma, env),
-                trace + (TraceStep(index, pos, rule, sigma),),
-            )
-            if result is not None:
-                return result
-        return None
+            return (), ()
+        return rules, node.children
 
-    outcome = walk(((ROOT, tree, grammar.axiom, TOP),), IDENTITY, ())
-    if outcome is None:
+    def fail(index, leaf, rule):
+        pos, _, _, feat = leaf
+        note(index, pos, f"cannot apply {rule}: constraint clash with {format_feature(feat)}")
+
+    chain = next(_derivations(grammar, tree, expand, fail), None)
+    if chain is None:
         return CheckResult(
             accepted=False,
             steps=(),
@@ -490,8 +397,16 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             failure=deepest["msg"],
             failure_position=deepest["pos"],
         )
-    trace, env = outcome
-    return CheckResult(accepted=True, steps=trace, env=env)
+    links = []
+    while chain is not None:
+        links.append(chain)
+        chain = chain[3]
+    steps = []
+    env = IDENTITY
+    for index, (pos, rule, sigma, _) in enumerate(reversed(links), start=1):
+        steps.append(TraceStep(index, pos, rule, sigma))
+        env = compose(sigma, env)
+    return CheckResult(accepted=True, steps=tuple(steps), env=env)
 
 
 def accepts(grammar: FbRtg, tree: DerivTree) -> bool:
@@ -520,17 +435,13 @@ def erase_features(grammar: FbRtg) -> FbRtg:
     )
 
 
-def _fold_constraint(feat: Constraint) -> Optional[tuple[FeatureTerm, Substitution]]:
-    return unify_all(feat)
-
-
 def _forced_epsilon(slot_feat: Constraint) -> Optional[Substitution]:
     """Substitution induced by the slot only ever deriving the empty tree.
 
     The empty adjunction rule carries [top: ?v, bot: ?v], so applying it
     amounts to unifying the slot's top with its bottom.
     """
-    folded = _fold_constraint(slot_feat)
+    folded = unify_all(slot_feat)
     if folded is None:
         return None
     term, sigma = folded

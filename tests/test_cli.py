@@ -147,6 +147,33 @@ def test_too_deep_tree_is_an_error_not_a_rejection(capsys):
     assert captured.err.startswith("error:")
 
 
+BINARY_RTG = """\
+rtg 1 standard
+axiom: X;
+nonterminals: X;
+terminals: a/0, f/2;
+sites {
+}
+rules {
+  X -> f(X, X);
+  X -> a;
+}
+"""
+
+
+def test_check_follows_long_derivations_of_shallow_trees(tmp_path, capsys):
+    path = tmp_path / "binary.rtg"
+    path.write_text(BINARY_RTG)
+    tree = "a"
+    for _ in range(9):
+        tree = f"f({tree}, {tree})"
+    # Ten levels but 1,023 rewrites: accepted, not "nested too deeply".
+    assert main(["check", str(path), tree]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1024
+    assert lines[-1] == "accepted: {}"
+
+
 def test_translate_rejects_broken_grammar_files(tmp_path, capsys):
     bad = tmp_path / "bad.tag"
     bad.write_text("start: X;\ninitial n { (X kind=adj }\n")

@@ -13,7 +13,7 @@ from tagrtg.leftcorner import (
 from tagrtg.rtg import GrammarError, accepts, enumerate_trees, erase_features, reduce_grammar
 from tagrtg.tag import parse_tag
 from tagrtg.translate import site_table, to_fbrtg, to_rtg
-from tagrtg.trees import parse_tree
+from tagrtg.trees import DerivTree, parse_tree
 
 
 UNREDUCED_LC = [
@@ -171,6 +171,20 @@ def test_inverse_handles_unreduced_arities(fig2):
     g = lc_fbrtg(fig2)
     t = parse_tree("e_S(one of(the(cats), e_A, e_A, e_A))")
     assert str(lc_inverse(g, t)) == "cats(the(one of(e_A, e_A, e_A, e_A)))"
+
+
+def test_inverse_unwinds_long_root_adjunction_chains(fig2):
+    red = reduce_grammar(lc_fbrtg(fig2))
+    chain = DerivTree("cats")
+    for _ in range(3000):
+        chain = DerivTree("the", (chain,))
+    back = lc_inverse(red, DerivTree("e_S", (chain,)))
+    labels = []
+    while back.children:
+        labels.append(back.label)
+        (back,) = back.children
+    assert labels == ["cats"] + ["the"] * 3000
+    assert back.label == "e_A"
 
 
 def test_inverse_is_injective_and_lands_in_the_source_language(fig2):

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from tagrtg.features import Atom, apply, parse_feature
+from tagrtg.features import TOP, Atom, parse_feature
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
@@ -18,20 +18,15 @@ from tagrtg.rtg import (
     Flavor,
     Nonterminal,
     NonterminalMismatch,
-    OpenLeaf,
-    PositionError,
     accepts,
     accepts_detailed,
     derive_step,
     enumerate_trees,
     erase_features,
-    initial_state,
-    narrow,
-    open_positions,
     reduce_grammar,
 )
 from tagrtg.rtg_io import format_rtg, parse_rtg
-from tagrtg.trees import parse_tree
+from tagrtg.trees import DerivTree, parse_tree
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
 BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
@@ -54,59 +49,19 @@ def test_derive_step_fails_on_clash():
     assert derive_step(rule, parse_feature("[bot: [const: +]]"), "1") is None
 
 
-# ----------------------------------------------------------- narrowing
-
-
 def _rule_for(grammar, terminal):
     return next(r for r in grammar.rules if r.terminal == terminal)
 
 
-def test_narrow_rewrites_and_propagates_bindings(feature_grammar):
-    state = initial_state(feature_grammar)
-    state = narrow(state, "ε", _rule_for(feature_grammar, "caught"))
-    assert state.env.is_identity()
-    subject = state.term.children[0]
-    assert subject == OpenLeaf(
-        Nonterminal("NP", Flavor.SUBST), parse_feature("[top: [agr: ?ε.x]]")
-    )
-    state = narrow(state, "2", _rule_for(feature_grammar, "has"))
-    eps = next(
-        r for r in feature_grammar.rules
-        if r.terminal == "e_A" and r.lhs == Nonterminal("VP", Flavor.ADJOIN)
-    )
-    state = narrow(state, "2.1", eps)
-    # Closing the verb chain settles the subject agreement through the
-    # environment, even though the subject leaf itself is untouched.
-    assert state.env.get("ε.x") == Atom("3sg")
-    assert [pos for pos, _ in open_positions(state)] == ["1", "3"]
-    subject = open_positions(state)[0][1]
-    assert apply(state.env, subject.feat) == parse_feature("[top: [agr: 3sg]]")
-
-
-def test_narrow_returns_none_on_clash(feature_grammar):
-    state = initial_state(feature_grammar)
-    state = narrow(state, "ε", _rule_for(feature_grammar, "caught"))
+def test_derive_step_cannot_close_the_verb_slot(feature_grammar):
+    _, slots = derive_step(_rule_for(feature_grammar, "caught"), TOP, "ε")
     eps = next(
         r for r in feature_grammar.rules
         if r.terminal == "e_A" and r.lhs == Nonterminal("VP", Flavor.ADJOIN)
     )
     # The verb slot wants ind on top and ppart below, so the empty
     # adjunction cannot close it.
-    assert narrow(state, "2", eps) is None
-
-
-def test_narrow_raises_on_bad_addresses(feature_grammar):
-    state = initial_state(feature_grammar)
-    caught = _rule_for(feature_grammar, "caught")
-    with pytest.raises(NonterminalMismatch):
-        narrow(state, "ε", _rule_for(feature_grammar, "cats"))
-    state = narrow(state, "ε", caught)
-    with pytest.raises(PositionError):
-        narrow(state, "ε", caught)
-    with pytest.raises(PositionError):
-        narrow(state, "7", caught)
-    with pytest.raises(PositionError):
-        narrow(state, "1.1", _rule_for(feature_grammar, "cats"))
+    assert derive_step(eps, slots[1], "2") is None
 
 
 # -------------------------------------------------------------- checking
@@ -176,12 +131,6 @@ def test_depth_three_trees_exactly(feature_grammar):
     }
 
 
-def test_enumeration_strategies_agree(feature_grammar):
-    leftmost = {str(t) for t in enumerate_trees(feature_grammar, 4)}
-    rightmost = {str(t) for t in enumerate_trees(feature_grammar, 4, strategy="rightmost")}
-    assert leftmost == rightmost
-
-
 def test_enumeration_deduplicates_across_rule_choices():
     x = Nonterminal("X", Flavor.SUBST)
     a = Nonterminal("A", Flavor.ADJOIN)
@@ -225,6 +174,36 @@ def test_enumerator_and_checker_agree(feature_grammar, plain_grammar):
 
 def test_good_tree_is_enumerated(feature_grammar):
     assert str(GOOD) in {str(t) for t in enumerate_trees(feature_grammar, 5)}
+
+
+def binary_grammar():
+    """X -> f(X, X) | a"""
+    x = Nonterminal("X")
+    return FbRtg(
+        axiom=x,
+        nonterminals=(x,),
+        terminals=(("a", 0), ("f", 2)),
+        rules=(FbRule(x, (), "f", ((x, ()), (x, ()))), FbRule(x, (), "a", ())),
+    )
+
+
+def balanced_tree(height):
+    tree = DerivTree("a")
+    for _ in range(height - 1):
+        tree = DerivTree("f", (tree, tree))
+    return tree
+
+
+def test_long_derivations_of_shallow_trees():
+    # 1,023 rewrites, one per node, but only ten levels deep: the engine
+    # keeps its own stack instead of recursing once per rewrite.
+    grammar, tree = binary_grammar(), balanced_tree(10)
+    result = accepts_detailed(grammar, tree)
+    assert result.accepted
+    assert len(result.steps) == 1023
+    first = next(enumerate_trees(grammar, 10))
+    assert first.size() == 1023
+    assert first == tree
 
 
 # ------------------------------------------------------------- reduction
@@ -307,7 +286,6 @@ def test_reduce_preserves_bounded_language():
             kept = kept[:1]
         if tree.label in ("n", "m"):
             kept = ()
-        from tagrtg.trees import DerivTree
         return DerivTree(tree.label, kept)
     stripped = {strip(t) for t in enumerate_trees(toy, 6)}
     original = {str(t) for t in stripped if t.height() <= 5}
