@@ -1,14 +1,25 @@
-"""Feature structures as first-order terms with unification.
+"""Feature structures: a term view over a graph unification kernel.
 
 A feature term is an atom, a variable, or an attribute-value map (AVM).
 The empty AVM is the top element: it carries no information and unifies
 with anything.  AVM unification is pointwise on the union of the
 attributes, so an attribute missing on one side is unconstrained there.
+
+Unification runs on mutable feature nodes (Huet's union-find over
+feature graphs): a node is a variable or an AVM whose arcs live in a
+dict, and atoms stay `Atom`.  Unifying two nodes forwards one to the
+other's representative, so every path that shares a node sees what
+later unifications add to it.  Each forwarding and each added arc goes
+on a trail, and `undo` pops the trail back to a mark, so a search
+backtracks without copying.  `read_back` turns nodes into terms for
+output; `unify`, `unify_all`, `Substitution`, `apply`, `compose` and
+`freshen` are the term view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 
@@ -192,71 +203,173 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
     return Substitution(out)
 
 
+class Node:
+    """A mutable feature node: a variable (`arcs` is None, `name` set) or
+    an AVM (`arcs` a dict from attribute to node or atom).  `ref` is the
+    node or atom it was forwarded to, or None for a representative."""
+
+    __slots__ = ("ref", "arcs", "name")
+
+    def __init__(self, arcs: Optional[dict] = None, name: Optional[str] = None):
+        self.ref = None
+        self.arcs = arcs
+        self.name = name
+
+
+def _deref(node):
+    while type(node) is Node and node.ref is not None:
+        node = node.ref
+    return node
+
+
+def instantiate(term: FeatureTerm, prefix: Optional[str], names: dict[str, Node]):
+    """Fresh nodes for `term`; atoms are shared.  Variable v becomes the
+    node `names` holds for it, named prefix.v (v when prefix is None)."""
+    cls = type(term)
+    if cls is Atom:
+        return term
+    if cls is Var:
+        node = names.get(term.name)
+        if node is None:
+            name = term.name if prefix is None else prefix + "." + term.name
+            node = names[term.name] = Node(None, name)
+        return node
+    return Node({key: instantiate(value, prefix, names) for key, value in term.entries})
+
+
+def unify_nodes(a, b, trail: list) -> bool:
+    """Unify two nodes in place, recording every change on `trail`.
+
+    An empty AVM forwards to the other side, so a variable is never
+    bound to top; a variable forwards to the other side; of two AVMs, b
+    forwards to a, which gains b's missing arcs.  Fails on an atom clash
+    and, as the occurs check, when the result would be cyclic.  A failed
+    call leaves partial changes on the trail for the caller to undo.
+    """
+    return _merge(a, b, trail) and _acyclic(a, {})
+
+
+def _rank(x):
+    """0 for top, 1 for a variable, 2 for an atom or an AVM with arcs."""
+    if type(x) is not Node:
+        return 2
+    arcs = x.arcs
+    return 1 if arcs is None else 2 if arcs else 0
+
+
+def _merge(a, b, trail):
+    a = _deref(a)
+    b = _deref(b)
+    if a is b:
+        return True
+    rank_a, rank_b = _rank(a), _rank(b)
+    if rank_a < 2 or rank_b < 2:
+        # The lower rank forwards, a on a tie, so top never binds a variable.
+        if rank_b < rank_a:
+            a, b = b, a
+        a.ref = b
+        trail.append(a)
+        return True
+    if type(a) is not Node or type(b) is not Node:
+        # Distinct atoms clash; so does an atom against an AVM with arcs.
+        return type(a) is Atom and type(b) is Atom and a.name == b.name
+    b.ref = a
+    trail.append(b)
+    arcs = a.arcs
+    for key, value in b.arcs.items():
+        mine = arcs.get(key)
+        if mine is None:
+            arcs[key] = value
+            trail.append((a, key))
+        elif not _merge(mine, value, trail):
+            return False
+    return True
+
+
+def _acyclic(node, state):
+    """False iff a cycle is reachable from `node`; `state` maps each
+    AVM node visited to True while it is on the path."""
+    node = _deref(node)
+    if type(node) is not Node or not node.arcs:
+        return True
+    open_ = state.get(node)
+    if open_ is not None:
+        return not open_
+    state[node] = True
+    for value in node.arcs.values():
+        if not _acyclic(value, state):
+            return False
+    state[node] = False
+    return True
+
+
+def undo(trail: list, mark: int) -> None:
+    """Pop the trail back to `mark`, taking back each forwarding and arc."""
+    while len(trail) > mark:
+        entry = trail.pop()
+        if type(entry) is tuple:
+            del entry[0].arcs[entry[1]]
+        else:
+            entry.ref = None
+
+
+def read_back(node) -> FeatureTerm:
+    """The term a node denotes now; None stands for top."""
+    node = _deref(node)
+    if node is None:
+        return TOP
+    if type(node) is Atom:
+        return node
+    if node.arcs is None:
+        return Var(node.name)
+    return Avm._rebuilt((key, read_back(value)) for key, value in node.arcs.items())
+
+
+def bindings(trail: list, start: int = 0) -> Substitution:
+    """The variables forwarded on trail[start:], each read back."""
+    bound = {
+        entry.name: read_back(entry)
+        for entry in islice(trail, start, None)
+        if type(entry) is Node and entry.arcs is None
+    }
+    return Substitution(bound) if bound else IDENTITY
+
+
+def fold(conjuncts: Iterable[FeatureTerm], prefix: Optional[str], names: dict, trail: list):
+    """Instantiate and unify a conjunction left to right.  Returns its
+    node, None for the empty conjunction (top), or False on a clash."""
+    root = None
+    for conjunct in conjuncts:
+        node = instantiate(conjunct, prefix, names)
+        if root is None:
+            root = node
+        elif not unify_nodes(root, node, trail):
+            return False
+    return root
+
+
 def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substitution]]:
     """Most general unifier of two feature terms.
 
     Returns (unified term, substitution) or None on clash or
     occurs-check violation.  Top unifies with anything and contributes
-    no bindings; in particular variables never get bound to top.
+    no bindings; in particular variables never get bound to top.  A
+    variable's binding is the unified term at every path it occupies.
     """
-    result = _unify(a, b, IDENTITY)
-    if result is None:
-        return None
-    term, sigma = result
-    return apply(sigma, term), sigma
-
-
-def _unify(a, b, sigma):
-    a = apply(sigma, a)
-    b = apply(sigma, b)
-    if is_top(a):
-        return b, sigma
-    if is_top(b):
-        return a, sigma
-    if isinstance(a, Var):
-        if a == b:
-            return a, sigma
-        if occurs(a.name, b):
-            return None
-        return b, compose(Substitution({a.name: b}), sigma)
-    if isinstance(b, Var):
-        return _unify(b, a, sigma)
-    if isinstance(a, Atom) or isinstance(b, Atom):
-        # Distinct atoms clash; so does an atom against a non-empty AVM.
-        if isinstance(a, Atom) and isinstance(b, Atom) and a.name == b.name:
-            return a, sigma
-        return None
-    merged: list[tuple[str, FeatureTerm]] = []
-    b_map = dict(b.entries)
-    a_keys = set()
-    for key, value in a.entries:
-        a_keys.add(key)
-        if key in b_map:
-            sub = _unify(value, b_map[key], sigma)
-            if sub is None:
-                return None
-            unified, sigma = sub
-            merged.append((key, unified))
-        else:
-            merged.append((key, value))
-    for key, value in b.entries:
-        if key not in a_keys:
-            merged.append((key, value))
-    # Keys of `merged` are unique: b contributes only keys a lacks.
-    return Avm._rebuilt(merged), sigma
+    return _solve((a, b))
 
 
 def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, Substitution]]:
-    """Fold unify over a conjunction, starting from top."""
-    term: FeatureTerm = TOP
-    sigma = IDENTITY
-    for conjunct in conjuncts:
-        step = unify(term, apply(sigma, conjunct))
-        if step is None:
-            return None
-        term, new = step
-        sigma = compose(new, sigma)
-    return apply(sigma, term), sigma
+    """Unify a conjunction left to right, starting from top."""
+    return _solve(conjuncts)
+
+
+def _solve(conjuncts):
+    trail: list = []
+    root = fold(conjuncts, None, {}, trail)
+    if root is False:
+        return None
+    return read_back(root), bindings(trail)
 
 
 def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:

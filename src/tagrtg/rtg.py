@@ -6,16 +6,17 @@ terms that is folded by unification when the rule fires.  Plain
 grammars are the degenerate case where every constraint is empty.
 
 Rewriting is leftmost.  Variables are renamed apart by prefixing them
-with the Gorn address of the rewritten occurrence, so bindings made
-deep inside one subtree reach open leaves elsewhere through the
-accumulated substitution.
+with the Gorn address of the rewritten occurrence.  Open leaves carry
+feature nodes, and a rule's constraints are unified into them in place,
+so bindings made deep inside one subtree reach open leaves elsewhere
+through the nodes they share; backtracking undoes the kernel's trail.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, Optional
 
@@ -25,12 +26,16 @@ from tagrtg.features import (
     FeatureTerm,
     Substitution,
     apply,
+    bindings,
     compose,
+    fold,
     format_feature,
-    freshen,
     is_top,
+    read_back,
+    undo,
     unify,
     unify_all,
+    unify_nodes,
 )
 from tagrtg.trees import ROOT, DerivTree, child_position
 
@@ -44,10 +49,21 @@ class Flavor(enum.Enum):
     ADJOIN = "_A"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nonterminal:
     base: str
     flavor: Flavor = Flavor.PLAIN
+    # Grammar indexes hash nonterminals on every lookup; the generated
+    # hash would build a tuple and call Enum.__hash__ each time, so the
+    # hash is kept on first use.
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.base, self.flavor))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __str__(self) -> str:
         return self.base + self.flavor.value
@@ -192,80 +208,78 @@ class FbRtg:
 # ------------------------------------------------------------ derivation
 
 
-def derive_step(
-    rule: FbRule, leaf_feat: FeatureTerm, prefix: str
-) -> Optional[tuple[Substitution, tuple[FeatureTerm, ...]]]:
-    """Fire `rule` at an open leaf carrying `leaf_feat`.
+def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]:
+    """Fire `rule` at an open leaf whose feature node is `leaf` (None
+    stands for top).
 
     Rule variables are renamed apart with the leaf's Gorn address.  The
-    left-hand constraint is folded, matched against the leaf, and each
-    slot constraint folded in turn; every unifier feeds the next fold.
-    Returns the step substitution and the slot feature terms, or None.
+    left-hand constraint is folded and unified with the leaf, then each
+    slot constraint is folded in turn; variables shared between them are
+    shared nodes.  Returns the slot nodes, or None on a clash.  Bindings
+    go on `trail`, and the caller undoes them, on failure too.
     """
-    folded = unify_all(freshen(c, prefix) for c in rule.lhs_feat)
-    if folded is None:
+    names: dict = {}
+    lhs = fold(rule.lhs_feat, prefix, names, trail)
+    if lhs is False:
         return None
-    lhs_term, sigma = folded
-    step = unify(lhs_term, apply(sigma, leaf_feat))
-    if step is None:
+    if lhs is not None and leaf is not None and not unify_nodes(lhs, leaf, trail):
         return None
-    _, new = step
-    sigma = compose(new, sigma)
-    slot_terms = []
+    slots = []
     for _, feat in rule.rhs:
-        fold = unify_all(apply(sigma, freshen(c, prefix)) for c in feat)
-        if fold is None:
+        node = fold(feat, prefix, names, trail)
+        if node is False:
             return None
-        term, new = fold
-        sigma = compose(new, sigma)
-        slot_terms.append(term)
-    # Later folds may refine earlier slots through shared variables.
-    return sigma, tuple(apply(sigma, t) for t in slot_terms)
+        slots.append(node)
+    return tuple(slots)
 
 
-def _derivations(grammar, root, expand, fail):
+def _derivations(grammar, root, expand, fail, trail):
     """Every leftmost derivation from the axiom, depth first, backtracking
     over an explicit stack of frames, one per rewrite on the current path.
 
-    A leaf is (position, guide, nonterminal, feature term).
-    `expand(index, leaf)` returns the rules to try at the leaf that step
-    `index` rewrites, in order, and the guides of a rule's slots;
-    `fail(index, leaf, rule)` hears of each rule that does not fire.
-    Every step's unifier is applied to the pending leaves, so bindings
-    travel between branches.  A complete derivation comes out as a chain
-    of steps (position, rule, sigma, previous step), last step first.
+    A leaf is (position, guide, nonterminal, feature node); the pending
+    leaves form a linked list (leaf, rest).  `expand(index, leaf)`
+    returns the rules to try at the leaf that step `index` rewrites, in
+    order, and the guides of a rule's slots; `fail(index, leaf, rule)`
+    hears of each rule that does not fire, with its bindings undone.
+    Each frame remembers the trail length it started at and undoes to
+    it before each candidate and when it is popped.  A complete
+    derivation comes out as a chain of steps (position, rule, trail
+    mark, previous step), last step first, with its bindings still on
+    `trail`; step k made the bindings between its mark and the next.
     """
-    leaf = (ROOT, root, grammar.axiom, TOP)
+    leaf = (ROOT, root, grammar.axiom, None)
     rules, guides = expand(1, leaf)
-    stack = [(iter(rules), leaf, (), None, guides)]
+    stack = [(iter(rules), leaf, None, None, guides, len(trail))]
     while stack:
-        rules, leaf, pending, chain, guides = stack[-1]
-        pos, _, _, feat = leaf
+        rules, leaf, pending, chain, guides, mark = stack[-1]
+        pos, _, _, node = leaf
         for rule in rules:
-            step = derive_step(rule, feat, pos)
-            if step is None:
+            undo(trail, mark)
+            slots = derive_step(rule, node, pos, trail)
+            if slots is None:
+                undo(trail, mark)
                 fail(len(stack), leaf, rule)
                 continue
-            sigma, slot_terms = step
-            grown = tuple(
-                (child_position(pos, i), guide, slot_nt, term)
-                for i, ((slot_nt, _), term, guide) in enumerate(
-                    zip(rule.rhs, slot_terms, guides), start=1
+            grown = [
+                (child_position(pos, i), guide, slot_nt, slot)
+                for i, ((slot_nt, _), slot, guide) in enumerate(
+                    zip(rule.rhs, slots, guides), start=1
                 )
-            )
+            ]
             rest = pending
-            if not sigma.is_identity():
-                rest = tuple((p, g, n, apply(sigma, f)) for p, g, n, f in rest)
-            rest = grown + rest
-            link = (pos, rule, sigma, chain)
-            if not rest:
+            for kid in reversed(grown):
+                rest = (kid, rest)
+            link = (pos, rule, mark, chain)
+            if rest is None:
                 yield link
                 continue
-            below = rest[0]
+            below, rest = rest
             below_rules, below_guides = expand(len(stack) + 1, below)
-            stack.append((iter(below_rules), below, rest[1:], link, below_guides))
+            stack.append((iter(below_rules), below, rest, link, below_guides, len(trail)))
             break
         else:
+            undo(trail, mark)
             stack.pop()
 
 
@@ -310,7 +324,7 @@ def enumerate_trees(
             stats["failures"] += 1
 
     seen = set()
-    for chain in _derivations(grammar, 1, expand, fail):
+    for chain in _derivations(grammar, 1, expand, fail, []):
         # Leftmost steps come in preorder, so the last step is the
         # rightmost leaf and each rule finds its subtrees on top.
         built: list[DerivTree] = []
@@ -370,6 +384,8 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     """
     _check_alphabet(grammar, tree)
     by_shape = grammar.index.by_shape
+    # The leaf of a failed rule is read back only when that failure
+    # becomes the deepest, and the message is formatted once, at the end.
     deepest = {"index": 0, "pos": ROOT, "msg": "no rule applied"}
 
     def note(index, pos, msg):
@@ -385,28 +401,36 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
         return rules, node.children
 
     def fail(index, leaf, rule):
-        pos, _, _, feat = leaf
-        note(index, pos, f"cannot apply {rule}: constraint clash with {format_feature(feat)}")
+        if index >= deepest["index"]:
+            note(index, leaf[0], (rule, read_back(leaf[3])))
 
-    chain = next(_derivations(grammar, tree, expand, fail), None)
+    trail: list = []
+    chain = next(_derivations(grammar, tree, expand, fail, trail), None)
     if chain is None:
+        msg = deepest["msg"]
+        if isinstance(msg, tuple):
+            rule, feat = msg
+            msg = f"cannot apply {rule}: constraint clash with {format_feature(feat)}"
         return CheckResult(
             accepted=False,
             steps=(),
             env=IDENTITY,
-            failure=deepest["msg"],
+            failure=msg,
             failure_position=deepest["pos"],
         )
+    env = bindings(trail)
+    # Walk the chain backwards: each step's bindings are the trail
+    # segment it added, read back before the segment is undone.
     links = []
     while chain is not None:
-        links.append(chain)
-        chain = chain[3]
-    steps = []
-    env = IDENTITY
-    for index, (pos, rule, sigma, _) in enumerate(reversed(links), start=1):
-        steps.append(TraceStep(index, pos, rule, sigma))
-        env = compose(sigma, env)
-    return CheckResult(accepted=True, steps=tuple(steps), env=env)
+        pos, rule, mark, chain = chain
+        links.append((pos, rule, bindings(trail, mark)))
+        undo(trail, mark)
+    steps = tuple(
+        TraceStep(index, pos, rule, delta)
+        for index, (pos, rule, delta) in enumerate(reversed(links), start=1)
+    )
+    return CheckResult(accepted=True, steps=steps, env=env)
 
 
 def accepts(grammar: FbRtg, tree: DerivTree) -> bool:

@@ -3,7 +3,8 @@
 One test per shipped guarantee: golden transcripts for the four
 translation pipelines, membership checking with its agreement replay,
 the rejection suite, the inverse roundtrip, a randomized enumeration
-oracle, size and wall-time bounds, and the unification property suite.
+oracle, size and wall-time bounds, the unification property suite, and
+a randomized differential between the standard and left-corner forms.
 Each test enforces its own runtime or tolerance budget, so `pytest -v`
 yields one pass/fail line per criterion.
 """
@@ -15,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tagrtg.cli import main
 from tagrtg.features import (
@@ -31,8 +32,16 @@ from tagrtg.features import (
     unify_all,
     variables,
 )
-from tagrtg.leftcorner import lc_fbrtg, lc_inverse, lc_rtg
-from tagrtg.rtg import FbRtg, FbRule, Nonterminal, accepts, accepts_detailed, enumerate_trees
+from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse, lc_rtg
+from tagrtg.rtg import (
+    FbRtg,
+    FbRule,
+    Nonterminal,
+    accepts,
+    accepts_detailed,
+    enumerate_trees,
+    erase_features,
+)
 from tagrtg.rtg_io import parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
 from tagrtg.translate import to_fbrtg, to_rtg
@@ -303,6 +312,35 @@ def random_tag(seed):
     return Tag(labels[0], tuple(trees))
 
 
+def _lc_disagreements(seeds, height):
+    """Trees of height <= `height` on which the standard and left-corner
+    feature forms of `random_tag(seed)` disagree, both ways: every
+    skeleton tree against its lc_image, and every LC tree's lc_inverse,
+    which the standard form must accept.  Returns (trees, disagreements)."""
+    checked, wrong = 0, []
+    for seed in seeds:
+        tag = random_tag(seed)
+        std, lc = to_fbrtg(tag), lc_fbrtg(tag)
+        for tree in enumerate_trees(erase_features(std), height):
+            checked += 1
+            if accepts(std, tree) != accepts(lc, lc_image(std, tree)):
+                wrong.append((seed, str(tree)))
+        for tree in enumerate_trees(lc, height):
+            checked += 1
+            if not accepts(std, lc_inverse(lc, tree)):
+                wrong.append((seed, str(tree)))
+    return checked, wrong
+
+
+def test_standard_and_left_corner_forms_derive_the_same_trees():
+    start = time.perf_counter()
+    assert _lc_disagreements(range(300), 3) == (1076, [])
+    # The seeds whose feature forms disagreed at height 4 while a
+    # variable bound to an AVM kept a copy that missed later attributes.
+    assert _lc_disagreements((51, 85, 98, 113, 147, 198, 252, 266), 4) == (7888, [])
+    assert time.perf_counter() - start < 60.0
+
+
 def _replicate(tag, factor):
     trees = tuple(
         ElemTree(f"{tree.name}_{copy}", tree.auxiliary, tree.root)
@@ -405,6 +443,20 @@ def _equality_unifiers(a, b):
     return found
 
 
+def _variable_paths(term, path=()):
+    if isinstance(term, Var):
+        yield path, term.name
+    elif isinstance(term, Avm):
+        for key, value in term.entries:
+            yield from _variable_paths(value, path + (key,))
+
+
+def _at(term, path):
+    for key in path:
+        term = term.get(key)
+    return term
+
+
 def test_criterion_9_unification_property_suite():
     budget = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -435,6 +487,21 @@ def test_criterion_9_unification_property_suite():
 
     @budget
     @given(small_terms(), small_terms())
+    @example(
+        Avm((("f", Var("x")), ("g", Var("x")))),
+        Avm((("f", Avm((("f", Atom("a")),))), ("g", Avm((("g", Atom("b")),))))),
+    )
+    def variables_denote_the_unified_term_at_their_paths(a, b):
+        result = unify(a, b)
+        if result is None:
+            return
+        term, sigma = result
+        for side in (a, b):
+            for path, name in _variable_paths(side):
+                assert apply(sigma, Var(name)) == _at(term, path), (name, path)
+
+    @budget
+    @given(small_terms(), small_terms())
     def unification_is_symmetric_up_to_renaming(a, b):
         left = unify(a, b)
         right = unify(b, a)
@@ -460,6 +527,7 @@ def test_criterion_9_unification_property_suite():
 
     mgu_is_a_stable_idempotent_unifier()
     mgu_is_most_general()
+    variables_denote_the_unified_term_at_their_paths()
     unification_is_symmetric_up_to_renaming()
     unifier_substitutions_are_idempotent()
     composition_agrees_with_sequential_application()

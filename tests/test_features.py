@@ -24,12 +24,16 @@ from tagrtg.features import (
     compose,
     format_feature,
     freshen,
+    instantiate,
     is_top,
     occurs,
     parse_feature,
+    read_back,
     subsumes,
+    undo,
     unify,
     unify_all,
+    unify_nodes,
     variables,
 )
 
@@ -107,6 +111,42 @@ def test_unify_all_empty_is_top():
 def test_unify_all_detects_late_clash():
     conjuncts = [avm(m=Var("t")), avm(m=Atom("ind")), avm(m=Atom("ppart"))]
     assert unify_all(conjuncts) is None
+
+
+def test_binding_sees_attributes_added_after_it():
+    conjuncts = [parse_feature(t) for t in ("[top: ?t]", "[top: [g: b]]", "[top: [f: b]]")]
+    term, sigma = unify_all(conjuncts)
+    assert term == parse_feature("[top: [g: b, f: b]]")
+    assert sigma.get("t") == parse_feature("[g: b, f: b]")
+
+
+def test_shared_variable_denotes_the_unification_of_its_paths():
+    term, sigma = unify(parse_feature("[p: ?t, q: ?t]"), parse_feature("[p: [g: b], q: [f: b]]"))
+    both = parse_feature("[g: b, f: b]")
+    assert term.get("p") == term.get("q") == both
+    assert sigma.get("t") == both
+
+
+def test_occurs_check_rejects_cycles_through_shared_nodes():
+    # y is [k: ?z] and x is [k: ?y]; x = y would make an infinite term.
+    a = parse_feature("[f: ?y, g: ?x, h: ?x]")
+    b = parse_feature("[f: [k: ?z], g: [k: ?y], h: ?y]")
+    assert unify(a, b) is None
+    assert unify(b, a) is None
+
+
+def test_undo_restores_the_nodes():
+    names = {}
+    a = instantiate(parse_feature("[top: ?t, bot: [agr: ?x]]"), "1", names)
+    b = instantiate(parse_feature("[top: [agr: 3sg], bot: ?t]"), "1", names)
+    trail = []
+    assert unify_nodes(a, b, trail)
+    assert read_back(a) == parse_feature("[top: [agr: 3sg], bot: [agr: 3sg]]")
+    assert read_back(names["x"]) == Atom("3sg")
+    undo(trail, 0)
+    assert trail == []
+    assert read_back(a) == parse_feature("[top: ?1.t, bot: [agr: ?1.x]]")
+    assert read_back(b) == parse_feature("[top: [agr: 3sg], bot: ?1.t]")
 
 
 def test_compose_applies_outer_to_inner_image():

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from tagrtg.features import TOP, Atom, parse_feature
+from tagrtg.features import Atom, bindings, instantiate, parse_feature
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
@@ -35,18 +35,25 @@ BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
 # ------------------------------------------------------------ derive_step
 
 
+def _node(text):
+    return instantiate(parse_feature(text), None, {})
+
+
 def test_derive_step_freshens_with_the_position():
     rule = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[top: ?v, bot: ?v]"),), "e_A", ())
-    leaf = parse_feature("[top: [agr: ?ε.x], bot: [agr: 3sg, const: +]]")
-    sigma, slots = derive_step(rule, leaf, "1.1.1.1")
+    leaf = _node("[top: [agr: ?ε.x], bot: [agr: 3sg, const: +]]")
+    trail = []
+    slots = derive_step(rule, leaf, "1.1.1.1", trail)
+    sigma = bindings(trail)
     assert slots == ()
     assert sigma.get("ε.x") == Atom("3sg")
-    assert sigma.get("1.1.1.1.v") == parse_feature("[agr: 3sg]")
+    # v is both top and bottom, so it denotes their unification.
+    assert sigma.get("1.1.1.1.v") == parse_feature("[agr: 3sg, const: +]")
 
 
 def test_derive_step_fails_on_clash():
     rule = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[bot: [const: -]]"),), "the", ())
-    assert derive_step(rule, parse_feature("[bot: [const: +]]"), "1") is None
+    assert derive_step(rule, _node("[bot: [const: +]]"), "1", []) is None
 
 
 def _rule_for(grammar, terminal):
@@ -54,14 +61,15 @@ def _rule_for(grammar, terminal):
 
 
 def test_derive_step_cannot_close_the_verb_slot(feature_grammar):
-    _, slots = derive_step(_rule_for(feature_grammar, "caught"), TOP, "ε")
+    trail = []
+    slots = derive_step(_rule_for(feature_grammar, "caught"), None, "ε", trail)
     eps = next(
         r for r in feature_grammar.rules
         if r.terminal == "e_A" and r.lhs == Nonterminal("VP", Flavor.ADJOIN)
     )
     # The verb slot wants ind on top and ppart below, so the empty
     # adjunction cannot close it.
-    assert derive_step(eps, slots[1], "2") is None
+    assert derive_step(eps, slots[1], "2", trail) is None
 
 
 # -------------------------------------------------------------- checking
