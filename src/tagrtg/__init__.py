@@ -22,7 +22,6 @@ from tagrtg.features import (
     format_feature,
     freshen,
     parse_feature,
-    subsumes,
     unify,
     unify_all,
     variables,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IDENTITY", "TOP", "Atom", "Avm", "FeatureSyntaxError", "Substitution", "Var",
     "alpha_equal", "apply", "compose", "format_feature", "freshen", "parse_feature",
-    "subsumes", "unify", "unify_all", "variables",
+    "unify", "unify_all", "variables",
     "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse", "lc_rtg",
     "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule", "Flavor",
     "GrammarError", "Nonterminal", "NonterminalMismatch", "SiteInfo",

@@ -12,7 +12,9 @@ other's representative, so every path that shares a node sees what
 later unifications add to it.  Each forwarding and each added arc goes
 on a trail, and `undo` pops the trail back to a mark, so a search
 backtracks without copying.  `read_back` turns nodes into terms for
-output; `unify`, `unify_all`, `Substitution`, `apply`, `compose` and
+output.  The derivation engine unifies only on nodes, and so does
+reduction, which fires a grammar's own empty-adjunction rule on the
+trail.  `unify`, `unify_all`, `Substitution`, `apply`, `compose` and
 `freshen` are the term view.
 """
 
@@ -88,9 +90,6 @@ class Avm(FeatureTerm):
                 return v
         return None
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Avm):
             return NotImplemented
@@ -151,10 +150,6 @@ def variables(term: FeatureTerm) -> set[str]:
             out |= variables(value)
         return out
     return set()
-
-
-def occurs(name: str, term: FeatureTerm) -> bool:
-    return name in variables(term)
 
 
 def apply(subst: Substitution, term: FeatureTerm) -> FeatureTerm:
@@ -385,38 +380,6 @@ def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:
             entries.append((key, new))
         return Avm._rebuilt(entries) if changed else term
     return term
-
-
-def subsumes(general: FeatureTerm, specific: FeatureTerm) -> bool:
-    """True iff some substitution maps `general` onto `specific`.
-
-    Top subsumes anything.  Non-empty AVMs must match on exactly the
-    same attribute set, so this is instance-of, not information order.
-    """
-    return _match(general, specific, {}) is not None
-
-
-def _match(general, specific, binds):
-    if is_top(general):
-        return binds
-    if isinstance(general, Var):
-        if general.name in binds:
-            return binds if binds[general.name] == specific else None
-        binds[general.name] = specific
-        return binds
-    if isinstance(general, Atom):
-        if isinstance(specific, Atom) and specific.name == general.name:
-            return binds
-        return None
-    if not isinstance(specific, Avm):
-        return None
-    if set(general.keys()) != set(specific.keys()):
-        return None
-    for key, value in general.entries:
-        binds = _match(value, specific.get(key), binds)
-        if binds is None:
-            return None
-    return binds
 
 
 def alpha_equal(a: FeatureTerm, b: FeatureTerm) -> bool:

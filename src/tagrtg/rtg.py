@@ -22,19 +22,15 @@ from typing import Iterator, Optional
 
 from tagrtg.features import (
     IDENTITY,
-    TOP,
     FeatureTerm,
     Substitution,
     apply,
     bindings,
-    compose,
     fold,
     format_feature,
     is_top,
     read_back,
     undo,
-    unify,
-    unify_all,
     unify_nodes,
 )
 from tagrtg.trees import ROOT, DerivTree, child_position
@@ -364,15 +360,21 @@ class CheckResult:
 
 
 def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
-    for pos, node in tree.positions():
-        rank = grammar.terminal_rank(node.label)
-        if rank is None:
-            raise AlphabetError(f"unknown terminal {node.label!r} at {pos}")
+    """Walk the tree in preorder; only a bad node's address is built."""
+    ranks = grammar.index.ranks
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        rank = ranks.get(node.label)
         if rank != len(node.children):
+            pos = next(where for where, seen in tree.positions() if seen is node)
+            if rank is None:
+                raise AlphabetError(f"unknown terminal {node.label!r} at {pos}")
             raise AlphabetError(
                 f"terminal {node.label!r} at {pos} has rank {rank}, "
                 f"found {len(node.children)} children"
             )
+        stack.extend(reversed(node.children))
 
 
 def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
@@ -459,26 +461,6 @@ def erase_features(grammar: FbRtg) -> FbRtg:
     )
 
 
-def _forced_epsilon(slot_feat: Constraint) -> Optional[Substitution]:
-    """Substitution induced by the slot only ever deriving the empty tree.
-
-    The empty adjunction rule carries [top: ?v, bot: ?v], so applying it
-    amounts to unifying the slot's top with its bottom.
-    """
-    folded = unify_all(slot_feat)
-    if folded is None:
-        return None
-    term, sigma = folded
-    if is_top(term):
-        return sigma
-    top = term.get("top") or TOP
-    bot = term.get("bot") or TOP
-    step = unify(top, bot)
-    if step is None:
-        return None
-    return compose(step[1], sigma)
-
-
 def _slot_offset(grammar: FbRtg, terminal: str) -> int:
     """Rule slot i corresponds to slot_kinds[i - 1 + offset]."""
     info = grammar.site(terminal)
@@ -489,63 +471,76 @@ def _slot_offset(grammar: FbRtg, terminal: str) -> int:
     return 0
 
 
-def _erasable_positions(grammar: FbRtg, rules: list[FbRule]) -> dict[str, set[int]]:
-    """Rule positions that can only ever derive the empty adjunction tree.
+def _erasable_positions(
+    rules: list[FbRule],
+) -> tuple[dict[str, set[int]], dict[Nonterminal, FbRule]]:
+    """Rule positions that can only ever derive the empty adjunction tree,
+    and the one rule that derives it for each nonterminal they hold.
 
-    A nonterminal qualifies when all its rules are empty-adjunction
-    rules.  A position is dropped only if it qualifies in every rule of
+    A nonterminal qualifies when its only rule is an empty-adjunction
+    rule.  A position is dropped only if it qualifies in every rule of
     its terminal, which keeps terminal ranks consistent.
     """
     by_lhs: dict[Nonterminal, list[FbRule]] = {}
     for rule in rules:
         by_lhs.setdefault(rule.lhs, []).append(rule)
-    eps_only = {
-        nt
+    epsilon = {
+        nt: own[0]
         for nt, own in by_lhs.items()
         if nt.flavor is Flavor.ADJOIN
-        and all(r.terminal == EPS_ADJOIN and not r.rhs for r in own)
+        and len(own) == 1
+        and own[0].terminal == EPS_ADJOIN
+        and not own[0].rhs
     }
     positions: dict[str, set[int]] = {}
     for rule in rules:
-        here = {i for i, (nt, _) in enumerate(rule.rhs, start=1) if nt in eps_only}
+        here = {i for i, (nt, _) in enumerate(rule.rhs, start=1) if nt in epsilon}
         if rule.terminal in positions:
             positions[rule.terminal] &= here
         else:
             positions[rule.terminal] = here
-    return {t: p for t, p in positions.items() if p}
+    return {t: p for t, p in positions.items() if p}, epsilon
 
 
-def _drop_slots(rule: FbRule, drop: set[int]) -> Optional[FbRule]:
-    """Remove slots forced to the empty tree, or None if that can never succeed."""
-    sigma = IDENTITY
-    kept: list[Slot] = []
+def _drop_slots(
+    rule: FbRule, drop: set[int], epsilon: dict[Nonterminal, FbRule]
+) -> Optional[FbRule]:
+    """Remove slots forced to the empty tree, or None if that can never succeed.
+
+    Each dropped slot's constraint is folded into feature nodes, with
+    variables shared across the rule, and its nonterminal's own
+    empty-adjunction rule fires there; the bindings this makes are
+    applied to what the rule keeps.
+    """
+    names: dict = {}
+    trail: list = []
     for i, (nt, feat) in enumerate(rule.rhs, start=1):
-        feat = tuple(apply(sigma, c) for c in feat)
         if i in drop:
-            forced = _forced_epsilon(feat)
-            if forced is None:
+            node = fold(feat, None, names, trail)
+            if node is False or derive_step(epsilon[nt], node, str(i), trail) is None:
                 return None
-            sigma = compose(forced, sigma)
-        else:
-            kept.append((nt, feat))
-    lhs_feat = tuple(apply(sigma, c) for c in rule.lhs_feat)
-    rhs = tuple((nt, tuple(apply(sigma, c) for c in feat)) for nt, feat in kept)
-    lhs_feat = tuple(c for c in lhs_feat if not is_top(c))
-    rhs = tuple((nt, tuple(c for c in feat if not is_top(c))) for nt, feat in rhs)
-    return FbRule(rule.lhs, lhs_feat, rule.terminal, rhs)
+    sigma = bindings(trail)
+
+    def kept(feat: Constraint) -> Constraint:
+        return tuple(c for c in (apply(sigma, c) for c in feat) if not is_top(c))
+
+    rhs = tuple(
+        (nt, kept(feat)) for i, (nt, feat) in enumerate(rule.rhs, start=1) if i not in drop
+    )
+    return FbRule(rule.lhs, kept(rule.lhs_feat), rule.terminal, rhs)
 
 
 def _eliminate_forced_slots(grammar: FbRtg, rules: list[FbRule]):
     terminals = dict(grammar.terminals)
     sites = dict(grammar.sites)
     while True:
-        erasable = _erasable_positions(grammar, rules)
+        erasable, epsilon = _erasable_positions(rules)
         if not erasable:
             return rules, terminals, sites
         rewritten: list[FbRule] = []
         for rule in rules:
-            drop = erasable.get(rule.terminal, set())
-            updated = _drop_slots(rule, drop) if drop else rule
+            drop = erasable.get(rule.terminal)
+            updated = _drop_slots(rule, drop, epsilon) if drop else rule
             if updated is not None:
                 rewritten.append(updated)
         for terminal, drop in erasable.items():
@@ -613,6 +608,10 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     """Drop forced empty-adjunction slots, then unproductive and
     unreachable rules; order what remains by discovery from the axiom.
 
+    A slot is forced when its nonterminal's only rule is an
+    empty-adjunction rule.  That rule fires on the slot's constraint
+    through the derivation engine's `derive_step`, so a clash drops the
+    whole rule and any bindings reach the constraints the rule keeps.
     Feature analysis stays local to single rules, so pruning works on
     the erased skeleton and the result can still contain rules no
     derivation satisfies.  Substitution partners of surviving

@@ -98,12 +98,6 @@ class Tag:
     def auxiliaries(self) -> tuple[ElemTree, ...]:
         return tuple(t for t in self.trees if t.auxiliary)
 
-    def tree(self, name: str) -> ElemTree:
-        for t in self.trees:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     def validate(self) -> None:
         names: set[str] = set()
         for tree in self.trees:

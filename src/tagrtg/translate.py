@@ -35,12 +35,14 @@ CLOSURE_VAR = "v"
 
 def symbols(tag: Tag) -> tuple[str, ...]:
     """Node labels in order of first appearance; anchors do not count."""
-    seen: list[str] = []
-    for tree in tag.trees:
-        for node in tree.root.nodes():
-            if node.kind is not NodeKind.ANCHOR and node.label not in seen:
-                seen.append(node.label)
-    return tuple(seen)
+    return tuple(
+        dict.fromkeys(
+            node.label
+            for tree in tag.trees
+            for node in tree.root.nodes()
+            if node.kind is not NodeKind.ANCHOR
+        )
+    )
 
 
 def site_table(tag: Tag) -> tuple[tuple[str, SiteInfo], ...]:

@@ -41,14 +41,6 @@ class DerivTree:
             for index, child in reversed(indexed):
                 stack.append((child_position(pos, index), child))
 
-    def node_at(self, pos: str) -> DerivTree:
-        node = self
-        if pos == ROOT:
-            return node
-        for step in pos.split("."):
-            node = node.children[int(step) - 1]
-        return node
-
     def __str__(self) -> str:
         return format_tree(self)
 

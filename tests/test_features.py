@@ -26,10 +26,8 @@ from tagrtg.features import (
     freshen,
     instantiate,
     is_top,
-    occurs,
     parse_feature,
     read_back,
-    subsumes,
     undo,
     unify,
     unify_all,
@@ -224,20 +222,9 @@ def test_substitution_str_is_sorted():
     assert str(s) == "{x = 3sg, y = 3pl}"
 
 
-def test_variables_and_occurs():
+def test_variables():
     term = avm(top=Var("t"), bot=avm(agr=Var("x")))
     assert variables(term) == {"t", "x"}
-    assert occurs("x", term)
-    assert not occurs("z", term)
-
-
-def test_subsumes_requires_matching_shape():
-    assert subsumes(TOP, avm(agr=Atom("3sg")))
-    assert subsumes(avm(agr=Var("x")), avm(agr=Atom("3sg")))
-    assert subsumes(avm(agr=Var("x"), num=Var("x")), avm(agr=Atom("a"), num=Atom("a")))
-    assert not subsumes(avm(agr=Var("x"), num=Var("x")), avm(agr=Atom("a"), num=Atom("b")))
-    assert not subsumes(avm(agr=Var("x")), avm(agr=Atom("a"), num=Atom("b")))
-    assert not subsumes(avm(agr=Atom("3sg")), TOP)
 
 
 def test_alpha_equal_renames_consistently():
@@ -452,22 +439,3 @@ def test_top_is_neutral(t):
     term, sigma = unify(t, TOP)
     assert term == t
     assert sigma.is_identity()
-
-
-@given(
-    term_strategy(),
-    st.dictionaries(
-        st.sampled_from(VARS),
-        st.one_of(
-            st.builds(Atom, st.sampled_from(ATOMS)),
-            st.builds(lambda v: Avm((("agr", v),)), st.builds(Atom, st.sampled_from(ATOMS))),
-        ),
-        max_size=3,
-    ),
-)
-def test_term_subsumes_its_nontop_instances(t, grounding):
-    # Top-valued images would erase attributes, so keep them out.
-    instance = apply(Substitution(grounding), t)
-    if variables(instance):
-        return
-    assert subsumes(t, instance)

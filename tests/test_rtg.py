@@ -222,6 +222,8 @@ B_A = Nonterminal("B", Flavor.ADJOIN)
 B_S = Nonterminal("B", Flavor.SUBST)
 C_S = Nonterminal("C", Flavor.SUBST)
 D_A = Nonterminal("D", Flavor.ADJOIN)
+S_S = Nonterminal("S", Flavor.SUBST)
+X_A = Nonterminal("X", Flavor.ADJOIN)
 X_S = Nonterminal("X", Flavor.SUBST)
 
 
@@ -257,6 +259,35 @@ def test_reduce_eliminates_forced_empty_slots():
     # n keeps its left-hand side but inherits the forced binding.
     assert by_terminal["n"].rhs == ()
     assert by_terminal["n"].lhs_feat == (parse_feature("[top: [q: one]]"),)
+
+
+def _slot_grammar(*epsilon_tops):
+    """S_S -> s(X_A [top: [f: b]]), closed by one e_A rule per given top."""
+    rules = (FbRule(S_S, (), "s", ((X_A, (parse_feature("[top: [f: b]]"),)),)),) + tuple(
+        FbRule(X_A, (parse_feature(f"[top: {top}]"),), "e_A", ()) for top in epsilon_tops
+    )
+    return FbRtg(
+        axiom=S_S,
+        nonterminals=(S_S, X_A),
+        terminals=(("s", 1), ("e_A", 0)),
+        rules=rules,
+    )
+
+
+def test_reduce_fires_the_grammars_own_empty_rule():
+    # X_A's only rule wants [f: a] where the slot offers [f: b], so the
+    # grammar derives nothing, and neither may its reduction.
+    grammar = _slot_grammar("[f: a]")
+    assert list(enumerate_trees(grammar, 3)) == []
+    assert reduce_grammar(grammar).rules == ()
+
+
+def test_reduce_keeps_a_slot_with_two_empty_rules():
+    grammar = _slot_grammar("[f: a]", "[f: b]")
+    reduced = reduce_grammar(grammar)
+    assert reduced.terminal_rank("s") == 1
+    assert [r.rhs for r in reduced.rules if r.terminal == "s"] == [grammar.rules[0].rhs]
+    assert accepts(reduced, parse_tree("s(e_A)"))
 
 
 def test_reduce_prunes_and_orders():
