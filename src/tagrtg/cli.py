@@ -124,7 +124,7 @@ def cmd_stats(args) -> int:
           f" {len(standard.nonterminals)} nonterminals")
     try:
         lc = lc_fbrtg(tag)
-    except RootNotAdjoinable as err:
+    except (RootNotAdjoinable, GrammarError) as err:
         print(f"left-corner translation: unavailable ({err})")
     else:
         print(f"left-corner translation: {len(lc.rules)} rules,"

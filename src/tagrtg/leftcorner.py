@@ -71,7 +71,8 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
 
     Linear in the input; at most twice the rules of the standard
     translation because every auxiliary contributes both a chain rule
-    and its original rule.
+    and its original rule.  A label names a plain nonterminal here, so
+    no label may be another label followed by a flavor suffix.
     """
     tag.validate()
     for tree in tag.auxiliaries:
@@ -80,6 +81,15 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
                 f"auxiliary tree {tree.name!r} has an inactive root"
             )
     names = symbols(tag)
+    labels = set(names)
+    for name in names:
+        for flavor in (Flavor.SUBST, Flavor.ADJOIN):
+            clash = Nonterminal(name, flavor)
+            if clash in labels:
+                raise GrammarError(
+                    f"labels {name!r} and {clash!r} both name the"
+                    f" left-corner nonterminal {clash}"
+                )
     rules = [_epsilon_subst_rule(name) for name in names]
     for tree in tag.initials:
         if not tree.root_active:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional
 
@@ -45,33 +45,15 @@ class Flavor(enum.Enum):
     ADJOIN = "_A"
 
 
-@dataclass(frozen=True, slots=True)
-class Nonterminal:
-    base: str
-    flavor: Flavor = Flavor.PLAIN
-    # Grammar indexes hash nonterminals on every lookup; the generated
-    # hash would build a tuple and call Enum.__hash__ each time, so the
-    # hash is kept on first use.
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+class Nonterminal(str):
+    """A nonterminal is its printed name: a TAG label followed by its
+    site flavor's suffix, so it hashes and compares as that string, in
+    grammar indexes and in `.rtg` files alike."""
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.base, self.flavor))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return self.base + self.flavor.value
-
-
-def parse_nonterminal(text: str) -> Nonterminal:
-    """The suffixes _S and _A are reserved for the two site flavors."""
-    if text.endswith("_S"):
-        return Nonterminal(text[:-2], Flavor.SUBST)
-    if text.endswith("_A"):
-        return Nonterminal(text[:-2], Flavor.ADJOIN)
-    return Nonterminal(text)
+    def __new__(cls, base: str, flavor: Flavor = Flavor.PLAIN) -> Nonterminal:
+        return super().__new__(cls, base + flavor.value)
 
 
 Constraint = tuple[FeatureTerm, ...]
@@ -83,7 +65,7 @@ def format_constraint(feat: Constraint) -> str:
 
 
 def _format_slot(nt: Nonterminal, feat: Constraint) -> str:
-    return f"{nt} {format_constraint(feat)}" if feat else str(nt)
+    return f"{nt} {format_constraint(feat)}" if feat else nt
 
 
 @dataclass(frozen=True)
@@ -162,19 +144,6 @@ class FbRtg:
         """Built on first use; not a field, so equality, hashing, repr and
         dataclasses.replace ignore it."""
         return GrammarIndex(self)
-
-    def terminal_rank(self, name: str) -> Optional[int]:
-        return self.index.ranks.get(name)
-
-    def site(self, terminal: str) -> Optional[SiteInfo]:
-        return self.index.sites.get(terminal)
-
-    @property
-    def is_plain(self) -> bool:
-        return all(
-            not rule.lhs_feat and all(not feat for _, feat in rule.rhs)
-            for rule in self.rules
-        )
 
     def validate(self) -> None:
         declared = set(self.nonterminals)
@@ -463,7 +432,7 @@ def erase_features(grammar: FbRtg) -> FbRtg:
 
 def _slot_offset(grammar: FbRtg, terminal: str) -> int:
     """Rule slot i corresponds to slot_kinds[i - 1 + offset]."""
-    info = grammar.site(terminal)
+    info = grammar.index.sites.get(terminal)
     if info is None:
         return 0
     if grammar.form == "lc" and info.tree_kind == "initial" and info.root_active:
@@ -487,7 +456,7 @@ def _erasable_positions(
     epsilon = {
         nt: own[0]
         for nt, own in by_lhs.items()
-        if nt.flavor is Flavor.ADJOIN
+        if nt.endswith(Flavor.ADJOIN.value)
         and len(own) == 1
         and own[0].terminal == EPS_ADJOIN
         and not own[0].rhs
@@ -626,8 +595,8 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
 
     nts = [nt for nt in order]
     for nt in order:
-        if nt.flavor is Flavor.ADJOIN:
-            partner = Nonterminal(nt.base, Flavor.SUBST)
+        if nt.endswith(Flavor.ADJOIN.value):
+            partner = Nonterminal(nt.removesuffix(Flavor.ADJOIN.value), Flavor.SUBST)
             if partner in grammar.nonterminals and partner not in nts:
                 nts.append(partner)
     ranked = {nt: i for i, nt in enumerate(order)}

@@ -16,8 +16,10 @@ transformation, and one rule per line in display syntax::
       NP_S [top: ?t] -> cats(NP_A [top: ?t, bot: [agr: 3pl]]);
     }
 
-Blank lines and lines starting with # are skipped.  Names may contain
-spaces but none of ``=/,;&()`` and no brackets.
+Blank lines and lines starting with # are skipped.  A nonterminal is
+its name, which ends at its first space in a rule; a final ``_S`` or
+``_A`` names its site flavor.  Terminal names may contain spaces.  No
+name contains any of ``=/,;&()`` or brackets.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from tagrtg.rtg import (
     Constraint,
     FbRtg,
     FbRule,
+    Nonterminal,
     SiteInfo,
     Slot,
     format_constraint,
-    parse_nonterminal,
 )
 
 FORMAT_VERSION = 1
@@ -54,7 +56,7 @@ class RtgParseError(ValueError):
 def format_rtg(grammar: FbRtg) -> str:
     out = [f"rtg {FORMAT_VERSION} {grammar.form}"]
     out.append(f"axiom: {grammar.axiom};")
-    out.append("nonterminals: " + ", ".join(str(nt) for nt in grammar.nonterminals) + ";")
+    out.append("nonterminals: " + ", ".join(grammar.nonterminals) + ";")
     out.append(
         "terminals: " + ", ".join(f"{name}/{rank}" for name, rank in grammar.terminals) + ";"
     )
@@ -118,7 +120,7 @@ def _parse_slot(text: str, line: int) -> Slot:
     if not text:
         raise RtgParseError("empty slot", line)
     head, _, rest = text.partition(" ")
-    return parse_nonterminal(head), _parse_constraint(rest, line)
+    return Nonterminal(head), _parse_constraint(rest, line)
 
 
 def _find_arrow(text: str, line: int) -> int:
@@ -223,9 +225,9 @@ def parse_rtg(text: str) -> FbRtg:
     form = words[2]
 
     axiom_text, _ = _labeled(lines, "axiom")
-    axiom = parse_nonterminal(axiom_text)
+    axiom = Nonterminal(axiom_text)
     nt_text, _ = _labeled(lines, "nonterminals")
-    nonterminals = tuple(parse_nonterminal(t.strip()) for t in nt_text.split(",") if t.strip())
+    nonterminals = tuple(Nonterminal(t.strip()) for t in nt_text.split(",") if t.strip())
     term_text, number = _labeled(lines, "terminals")
     terminals = []
     for chunk in term_text.split(","):

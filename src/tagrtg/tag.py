@@ -170,7 +170,7 @@ def _expect(text: str, pos: int, ch: str) -> int:
     return pos + 1
 
 
-def parse_tag(text: str, validate: bool = True) -> Tag:
+def parse_tag(text: str) -> Tag:
     start: Optional[str] = None
     trees: list[ElemTree] = []
     pos = 0
@@ -199,8 +199,7 @@ def parse_tag(text: str, validate: bool = True) -> Tag:
     if start is None:
         _fail(text, len(text), "missing start symbol")
     tag = Tag(start, tuple(trees))
-    if validate:
-        tag.validate()
+    tag.validate()
     return tag
 
 
@@ -275,8 +274,8 @@ def _format_node(node: TreeNode) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def load_tag(path: str | Path, validate: bool = True) -> Tag:
-    return parse_tag(Path(path).read_text(encoding="utf-8"), validate=validate)
+def load_tag(path: str | Path) -> Tag:
+    return parse_tag(Path(path).read_text(encoding="utf-8"))
 
 
 def save_tag(tag: Tag, path: str | Path) -> None:

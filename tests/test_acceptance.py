@@ -350,14 +350,18 @@ def _replicate(tag, factor):
     return Tag(tag.start, trees)
 
 
-def _best_time(tag, repeats):
-    best = float("inf")
+def _best_times(tags, rounds):
+    """Best translation time of each TAG.  Each round times every TAG
+    once, so a drift in host speed reaches all of them alike instead of
+    skewing the ones timed during it."""
+    best = [float("inf")] * len(tags)
     gc.disable()
     try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            to_fbrtg(tag)
-            best = min(best, time.perf_counter() - start)
+        for _ in range(rounds):
+            for i, tag in enumerate(tags):
+                start = time.perf_counter()
+                to_fbrtg(tag)
+                best[i] = min(best[i], time.perf_counter() - start)
     finally:
         gc.enable()
     return best
@@ -371,10 +375,9 @@ def test_criterion_8_size_bound_and_linear_time(fig2):
     assert len(to_rtg(fig2).rules) == 13
     assert len(lc_rtg(fig2).rules) == 23 <= 2 * 13
 
-    points = [
-        (7 * factor, _best_time(_replicate(fig2, factor), repeats))
-        for factor, repeats in ((1, 200), (10, 40), (100, 8))
-    ]
+    factors = (1, 10, 100)
+    times = _best_times([_replicate(fig2, factor) for factor in factors], 100)
+    points = [(7 * factor, t) for factor, t in zip(factors, times)]
     # relative-error weighted least squares: every scale counts equally,
     # so superlinear growth shows up at either end
     weighted = [(n, t, 1 / (t * t)) for n, t in points]

@@ -204,3 +204,19 @@ def test_stats_flags_inert_features_and_missing_lc(tmp_path, capsys):
     assert "left-corner translation: unavailable" in out
     assert "note: top features on inactive node 'Y' of 'n' are ignored" in out
     assert "note: bot features on inactive node 'X' of 'w' are ignored" in out
+
+    clash = tmp_path / "clash.tag"
+    clash.write_text(
+        "start: S;\n"
+        'initial s { (S (NP kind=subst) (NP_S kind=subst) (word "s")) }\n'
+        'initial np { (NP kind=adj (word "np")) }\n'
+        'initial nps { (NP_S kind=adj (word "nps")) }\n'
+    )
+    assert main(["stats", str(clash)]) == 0
+    assert "left-corner translation: unavailable (labels 'NP' and 'NP_S'" in (
+        capsys.readouterr().out
+    )
+    assert main(["translate", str(clash), "--lc", "--features"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: labels 'NP' and 'NP_S'")

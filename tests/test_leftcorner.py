@@ -153,6 +153,19 @@ def test_root_inactive_auxiliary_is_rejected():
         lc_fbrtg(tag)
 
 
+def test_label_with_a_flavor_suffix_of_another_label_is_rejected():
+    # The plain nonterminal of NP_S would be NP's substitution nonterminal.
+    tag = parse_tag(
+        "start: S;\n"
+        'initial s { (S (NP kind=subst) (NP_S kind=subst) (word "s")) }\n'
+        'initial np { (NP kind=adj (word "np")) }\n'
+        'initial nps { (NP_S kind=adj (word "nps")) }\n'
+    )
+    with pytest.raises(GrammarError, match="'NP' and 'NP_S'"):
+        lc_fbrtg(tag)
+    assert len(to_fbrtg(tag).nonterminals) == 6
+
+
 def test_inverse_frozen_examples(fig2):
     red = reduce_grammar(lc_fbrtg(fig2))
     cases = [

@@ -253,7 +253,7 @@ def test_reduce_eliminates_forced_empty_slots():
     by_terminal = {r.terminal: r for r in reduced.rules}
     # B can only vanish, so f loses its second slot.
     assert by_terminal["f"].rhs == ((A_A, ()),)
-    assert reduced.terminal_rank("f") == 1
+    assert dict(reduced.terminals)["f"] == 1
     # m forces its slot's top against its bottom, which clashes.
     assert "m" not in by_terminal
     # n keeps its left-hand side but inherits the forced binding.
@@ -285,7 +285,7 @@ def test_reduce_fires_the_grammars_own_empty_rule():
 def test_reduce_keeps_a_slot_with_two_empty_rules():
     grammar = _slot_grammar("[f: a]", "[f: b]")
     reduced = reduce_grammar(grammar)
-    assert reduced.terminal_rank("s") == 1
+    assert dict(reduced.terminals)["s"] == 1
     assert [r.rhs for r in reduced.rules if r.terminal == "s"] == [grammar.rules[0].rhs]
     assert accepts(reduced, parse_tree("s(e_A)"))
 
@@ -398,7 +398,7 @@ def test_index_is_invisible_to_equality_repr_and_format(feature_grammar):
     grammar = dataclasses.replace(feature_grammar)
     before = repr(grammar)
     assert accepts(grammar, GOOD)
-    assert grammar.terminal_rank("caught") == 3
+    assert grammar.index.ranks["caught"] == 3
     assert repr(grammar) == before
     assert grammar == dataclasses.replace(grammar) == feature_grammar
     assert hash(grammar) == hash(feature_grammar)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from tagrtg.leftcorner import lc_fbrtg
 from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, NonterminalMismatch
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg, parse_rtg, save_rtg
+from tagrtg.tag import parse_tag
 
 FEATURE_FILE = """\
 rtg 1 standard
@@ -39,6 +41,14 @@ def test_feature_grammar_formats_exactly(feature_grammar):
 
 def test_feature_grammar_round_trips(feature_grammar):
     assert parse_rtg(format_rtg(feature_grammar)) == feature_grammar
+    # The label NP_S names a plain left-corner nonterminal, in memory
+    # and in the file alike.
+    lc = lc_fbrtg(parse_tag(
+        "start: S;\n"
+        'initial s { (S (NP_S kind=subst) (word "s")) }\n'
+        'initial nps { (NP_S kind=adj (word "nps")) }\n'
+    ))
+    assert parse_rtg(format_rtg(lc)) == lc
 
 
 def test_plain_grammar_round_trips(plain_grammar):
@@ -63,8 +73,8 @@ def test_parser_skips_comments_and_blank_lines(feature_grammar):
 
 def test_spaced_terminal_names_survive(feature_grammar):
     parsed = parse_rtg(format_rtg(feature_grammar))
-    assert parsed.terminal_rank("one of") == 1
-    assert parsed.site("one of").tree_kind == "auxiliary"
+    assert dict(parsed.terminals)["one of"] == 1
+    assert dict(parsed.sites)["one of"].tree_kind == "auxiliary"
 
 
 def test_empty_sites_section():
@@ -82,6 +92,7 @@ def test_empty_sites_section():
     grammar = parse_rtg(text)
     assert grammar.sites == ()
     assert grammar.rules == (FbRule(Nonterminal("X", Flavor.SUBST), (), "leaf", ()),)
+    assert grammar.axiom == Nonterminal("X_S") == "X_S"
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,9 @@ def test_plain_translation_reduces_to_the_frozen_skeleton(fig2, plain_grammar):
 
 def test_plain_translation_is_the_erased_feature_translation(fig2):
     assert to_rtg(fig2) == erase_features(to_fbrtg(fig2))
-    assert to_rtg(fig2).is_plain
+    assert all(
+        not r.lhs_feat and all(not feat for _, feat in r.rhs) for r in to_rtg(fig2).rules
+    )
 
 
 def _anchor(word):
