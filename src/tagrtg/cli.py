@@ -58,7 +58,7 @@ def cmd_enumerate(args) -> int:
     grammar = load_rtg(args.grammar)
     for index, tree in enumerate(enumerate_trees(grammar, args.max_depth)):
         if args.format == "dot":
-            sys.stdout.write(to_dot(tree, f"tree{index}"))
+            print(to_dot(tree, f"tree{index}"))
         else:
             print(tree)
     return 0

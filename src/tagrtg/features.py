@@ -160,17 +160,18 @@ def apply(subst: Substitution, term: FeatureTerm) -> FeatureTerm:
     """
     if not subst.bindings:
         return term
-    return _substitute(subst.bindings, term)
+    return _replace(term, lambda var: subst.bindings.get(var.name, var))
 
 
-def _substitute(bindings: dict[str, FeatureTerm], term: FeatureTerm) -> FeatureTerm:
+def _replace(term: FeatureTerm, image) -> FeatureTerm:
+    """`term` with each variable v replaced by image(v), sharing unchanged AVMs."""
     if isinstance(term, Var):
-        return bindings.get(term.name, term)
+        return image(term)
     if isinstance(term, Avm):
         changed = False
         entries = []
         for key, value in term.entries:
-            new = _substitute(bindings, value)
+            new = _replace(value, image)
             changed = changed or new is not value
             entries.append((key, new))
         return Avm._rebuilt(entries) if changed else term
@@ -369,17 +370,7 @@ def _solve(conjuncts):
 
 def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:
     """Rename every variable v to prefix.v; variable-free subterms are shared."""
-    if isinstance(term, Var):
-        return Var(prefix + "." + term.name)
-    if isinstance(term, Avm):
-        changed = False
-        entries = []
-        for key, value in term.entries:
-            new = freshen(value, prefix)
-            changed = changed or new is not value
-            entries.append((key, new))
-        return Avm._rebuilt(entries) if changed else term
-    return term
+    return _replace(term, lambda var: Var(prefix + "." + var.name))
 
 
 def alpha_equal(a: FeatureTerm, b: FeatureTerm) -> bool:

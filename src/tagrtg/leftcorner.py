@@ -29,16 +29,16 @@ from tagrtg.rtg import (
     SiteInfo,
     erase_features,
 )
-from tagrtg.tag import Tag
+from tagrtg.tag import ElemTree, Tag
 from tagrtg.translate import (
     INTERFACE_VAR,
     _constraint,
     _pair,
     closure_rule,
+    declared_nonterminals,
     fresh_name,
     node_nt,
     site_table,
-    slot_features,
     symbols,
     tree_rule,
     tree_variables,
@@ -63,6 +63,14 @@ def _epsilon_subst_rule(symbol: str) -> FbRule:
         (Avm((("top", t),)),),
         EPS_SUBST,
         (child,),
+    )
+
+
+def _below_root(tree: ElemTree) -> tuple:
+    return tuple(
+        (node_nt(node), _constraint(_pair(node.top, node.bot)))
+        for node in tree.active_nodes()
+        if node is not tree.root
     )
 
 
@@ -95,18 +103,12 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
         if not tree.root_active:
             rules.append(tree_rule(tree))
             continue
-        t = fresh_name(INTERFACE_VAR, tree_variables(tree))
-        slots = tuple(
-            (node_nt(node), slot_features(node, tree.root, t))
-            for node in tree.active_nodes()
-            if node is not tree.root
-        )
         rules.append(
             FbRule(
                 Nonterminal(tree.root.label),
                 _constraint(_pair(tree.root.top, tree.root.bot)),
                 tree.name,
-                slots,
+                _below_root(tree),
             )
         )
     for tree in tag.auxiliaries:
@@ -115,26 +117,19 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
             Nonterminal(tree.root.label),
             _constraint(_pair(Var(t), tree.foot().bot)),
         )
-        slots = tuple(
-            (node_nt(node), slot_features(node, tree.root, t))
-            for node in tree.active_nodes()
-            if node is not tree.root
-        )
         rules.append(
             FbRule(
                 Nonterminal(tree.root.label),
                 _constraint(_pair(Var(t), tree.root.bot), _pair(tree.root.top, TOP)),
                 tree.name,
-                (chain,) + slots,
+                (chain,) + _below_root(tree),
             )
         )
     rules.extend(tree_rule(tree) for tree in tag.auxiliaries)
     rules.extend(closure_rule(name) for name in names)
 
-    nonterminals = tuple(
-        Nonterminal(name, flavor)
-        for flavor in (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN)
-        for name in names
+    nonterminals = declared_nonterminals(
+        tag, names, (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN)
     )
     terminals = sorted(
         [

@@ -72,6 +72,13 @@ def fresh_name(base: str, used: set[str]) -> str:
     return f"{base}{count}"
 
 
+def declared_nonterminals(tag: Tag, names, flavors) -> tuple[Nonterminal, ...]:
+    """Each label in each flavor, then the axiom if no node carries the start label."""
+    declared = tuple(Nonterminal(name, flavor) for flavor in flavors for name in names)
+    axiom = Nonterminal(tag.start, Flavor.SUBST)
+    return declared if axiom in declared else declared + (axiom,)
+
+
 def tree_variables(tree: ElemTree) -> set[str]:
     used: set[str] = set()
     for node in tree.root.nodes():
@@ -149,11 +156,7 @@ def to_fbrtg(tag: Tag) -> FbRtg:
     """
     tag.validate()
     names = symbols(tag)
-    nonterminals = tuple(
-        Nonterminal(name, flavor)
-        for flavor in (Flavor.SUBST, Flavor.ADJOIN)
-        for name in names
-    )
+    nonterminals = declared_nonterminals(tag, names, (Flavor.SUBST, Flavor.ADJOIN))
     rules = tuple(tree_rule(tree) for tree in tag.trees) + tuple(
         closure_rule(name) for name in names
     )

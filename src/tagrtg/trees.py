@@ -7,6 +7,7 @@ Gorn addresses written as dotted 1-based child indices; the root is
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,14 +23,6 @@ def child_position(parent: str, index: int) -> str:
 class DerivTree:
     label: str
     children: tuple[DerivTree, ...] = ()
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
-    def height(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.height() for child in self.children)
 
     def positions(self) -> Iterator[tuple[str, DerivTree]]:
         """Preorder traversal as (gorn address, subtree) pairs."""
@@ -52,73 +45,88 @@ class TreeSyntaxError(ValueError):
 
 
 def format_tree(tree: DerivTree) -> str:
-    if not tree.children:
-        return tree.label
-    inner = ", ".join(format_tree(child) for child in tree.children)
-    return f"{tree.label}({inner})"
+    parts = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        parts.append(item.label)
+        if item.children:
+            stack.append(")")
+            for child in reversed(item.children):
+                stack += (child, ", ")
+            stack[-1] = "("  # the first child follows "(", not ", "
+    return "".join(parts)
+
+
+# A delimiter with the whitespace around it, or the text up to the next
+# delimiter.  The tokens cover the text without gaps.
+_TOKEN = re.compile(r"\s*[(),]\s*|[^(),]+")
 
 
 def parse_tree(text: str) -> DerivTree:
-    """Parse `label(child, ...)` syntax; labels may contain spaces."""
-    tree, pos = _parse_node(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TreeSyntaxError("trailing input", pos)
-    return tree
+    """Parse `label(child, ...)` syntax; labels may contain spaces.
 
-
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_label(text, pos):
-    start = pos
-    while pos < len(text) and text[pos] not in "(),":
-        pos += 1
+    One loop reads the tokens, with each node whose ")" is still to come
+    on a stack as its label and the children read so far.
+    """
+    tokens = _TOKEN.findall(text) + [""]  # "" ends the input
     # Collapse runs of whitespace so "one  of" and "one of" agree.
-    label = " ".join(text[start:pos].split())
-    if not label:
-        raise TreeSyntaxError("expected a label", start)
-    return label, pos
-
-
-def _parse_node(text, pos):
-    pos = _skip_ws(text, pos)
-    label, pos = _parse_label(text, pos)
-    if pos < len(text) and text[pos] == "(":
-        pos = _skip_ws(text, pos + 1)
-        if pos < len(text) and text[pos] == ")":
-            return DerivTree(label), pos + 1
-        children = []
-        while True:
-            child, pos = _parse_node(text, pos)
-            children.append(child)
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
+    words = [" ".join(token.split()) for token in tokens]
+    stack: list[tuple[str, list]] = [("", [])]  # the bottom frame receives the root
+    i = 0
+    while True:
+        # A node: its label, then "(" or the end of the node.
+        label = words[i]
+        if label in "(),":  # empty (only space, or the end of input), or a delimiter
+            error = "expected a label"
+            break
+        i += 1
+        if words[i] == "(":
+            stack.append((label, []))
+            i += 1
+            if words[i] != ")":
                 continue
-            if pos < len(text) and text[pos] == ")":
-                return DerivTree(label, tuple(children)), pos + 1
-            raise TreeSyntaxError("expected ',' or ')'", pos)
-    return DerivTree(label), pos
+        else:
+            stack[-1][1].append(DerivTree(label))
+        # Close finished nodes up to the next "," or the end of input.
+        while len(stack) > 1 and words[i] == ")":
+            label, children = stack.pop()
+            stack[-1][1].append(DerivTree(label, tuple(children)))
+            i += 1
+        if len(stack) == 1:
+            if not words[i]:
+                return stack[0][1][0]
+            error = "trailing input"
+            break
+        if words[i] != ",":
+            error = "expected ',' or ')'"
+            break
+        i += 1
+    # The offset of the first non-space character from tokens[i] on.
+    raise TreeSyntaxError(error, len(text) - len("".join(tokens[i:]).lstrip()))
 
 
 def to_dot(tree: DerivTree, name: str = "tree") -> str:
     """Graphviz rendering, one digraph per tree."""
     lines = [f"digraph {name} {{", "  node [shape=plaintext];"]
     counter = 0
-    def walk(node: DerivTree) -> int:
-        nonlocal counter
+    stack: list = [(None, tree)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            lines.append(item)
+            continue
+        parent, node = item
         ident = counter
         counter += 1
         label = node.label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{ident} [label="{label}"];')
-        for child in node.children:
-            child_ident = walk(child)
-            lines.append(f"  n{ident} -> n{child_ident};")
-        return ident
-    walk(tree)
+        if parent is not None:
+            stack.append(f"  n{parent} -> n{ident};")  # after the subtree
+        for child in reversed(node.children):
+            stack.append((ident, child))
     lines.append("}")
     return "\n".join(lines)

@@ -1,9 +1,13 @@
 """Command-line behaviour, exit codes and golden transcripts."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tagrtg
 from tagrtg.cli import main
 from tagrtg.tag import bundled_grammar
 
@@ -68,7 +72,8 @@ def test_enumerate_dot_output(capsys):
                  "--format", "dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("digraph tree0 {")
-    assert "digraph tree1 {" in out
+    assert "}\ndigraph tree1 {" in out
+    assert out.endswith("}\n")
     assert 'label="caught"' in out
 
 
@@ -137,14 +142,74 @@ def test_bad_input_exits_2_with_diagnostics(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_too_deep_tree_is_an_error_not_a_rejection(capsys):
+def test_too_deep_tree_is_an_error_not_a_rejection(tmp_path, capsys):
+    # The feature parser still recurses once per AVM level.
+    depth = 3000
+    avm = "[f: " * depth + "a" + "]" * depth
+    path = tmp_path / "deep.rtg"
+    path.write_text(EMPTY_RTG.replace("rules {\n", f"rules {{\n  X_S {avm} -> w;\n"))
+    assert main(["check", str(path), "w"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input nested too deeply")
+
+
+def test_deep_trees_get_a_verdict(capsys):
     depth = 3000
     chain = "the(" * depth + "e_A" + ")" * depth
     tree = f"caught(cats({chain}), e_A, fish(e_A))"
-    assert main(["check", str(GOLDEN / "example1.rtg"), tree]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert main(["check", str(GOLDEN / "example1.rtg"), tree]) == 0
+    assert capsys.readouterr().out.endswith("accepted: {}\n")
+    assert main(["check", str(GOLDEN / "example2.rtg"), tree]) == 1
+    assert capsys.readouterr().out.startswith("rejected at 1.1.1: ")
+
+
+def test_invert_unwinds_a_deep_chain(capsys):
+    depth = 10_000
+    tree = "e_S(" + "the(" * depth + "cats" + ")" * (depth + 1)
+    assert main(["invert", str(GOLDEN / "lc_features.rtg"), tree]) == 0
+    expected = "cats(" + "the(" * depth + "e_A" + ")" * (depth + 1)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+CHAIN_RTG = """\
+rtg 1 standard
+axiom: X;
+nonterminals: X;
+terminals: a/0, f/1;
+sites {
+}
+rules {
+  X -> f(X);
+  X -> a;
+}
+"""
+
+
+def test_enumerate_prints_deep_trees(tmp_path):
+    # A fresh interpreter, so the test runner's own stack frames do not
+    # count against the depth at which enumeration hashes a tree.
+    path = tmp_path / "chain.rtg"
+    path.write_text(CHAIN_RTG)
+    env = dict(os.environ, PYTHONPATH=str(Path(tagrtg.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "tagrtg.cli", "enumerate", str(path), "--max-depth", "490"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 490
+    assert lines[0] == "f(" * 489 + "a" + ")" * 489
+    assert lines[-1] == "a"
+
+
+def test_translated_grammar_declares_an_axiom_no_node_carries(tmp_path, capsys):
+    tag = tmp_path / "startless.tag"
+    tag.write_text('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')
+    target = tmp_path / "startless.rtg"
+    assert main(["translate", str(tag), "--out", str(target)]) == 0
+    assert main(["enumerate", str(target), "--max-depth", "3"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 BINARY_RTG = """\

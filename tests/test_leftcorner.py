@@ -13,7 +13,7 @@ from tagrtg.leftcorner import (
 from tagrtg.rtg import GrammarError, accepts, enumerate_trees, erase_features, reduce_grammar
 from tagrtg.tag import parse_tag
 from tagrtg.translate import site_table, to_fbrtg, to_rtg
-from tagrtg.trees import DerivTree, parse_tree
+from tagrtg.trees import DerivTree, format_tree, parse_tree
 
 
 UNREDUCED_LC = [
@@ -198,6 +198,16 @@ def test_inverse_unwinds_long_root_adjunction_chains(fig2):
         (back,) = back.children
     assert labels == ["cats"] + ["the"] * 3000
     assert back.label == "e_A"
+
+
+def test_deep_root_adjunction_chain_round_trips_through_text(fig2):
+    depth = 100_000
+    lc_text = "e_S(" + "the(" * depth + "cats" + ")" * (depth + 1)
+    standard = lc_inverse(lc_fbrtg(fig2), parse_tree(lc_text))
+    standard_text = format_tree(standard)
+    assert standard_text == "cats(" + "the(" * depth + "e_A" + ")" * (depth + 1)
+    image = lc_image(to_fbrtg(fig2), parse_tree(standard_text))
+    assert format_tree(image) == lc_text
 
 
 def test_inverse_is_injective_and_lands_in_the_source_language(fig2):

@@ -210,7 +210,7 @@ def test_long_derivations_of_shallow_trees():
     assert result.accepted
     assert len(result.steps) == 1023
     first = next(enumerate_trees(grammar, 10))
-    assert first.size() == 1023
+    assert len(list(first.positions())) == 1023
     assert first == tree
 
 
@@ -312,6 +312,10 @@ def test_reduce_keeps_already_reduced_grammar(feature_grammar):
     assert reduce_grammar(feature_grammar) == feature_grammar
 
 
+def height(tree):
+    return 1 + max((height(child) for child in tree.children), default=0)
+
+
 def test_reduce_preserves_bounded_language():
     toy = _toy_grammar()
     reduced = reduce_grammar(toy)
@@ -327,7 +331,7 @@ def test_reduce_preserves_bounded_language():
             kept = ()
         return DerivTree(tree.label, kept)
     stripped = {strip(t) for t in enumerate_trees(toy, 6)}
-    original = {str(t) for t in stripped if t.height() <= 5}
+    original = {str(t) for t in stripped if height(t) <= 5}
     assert {str(t) for t in enumerate_trees(reduced, 5)} == original
 
 

@@ -6,6 +6,7 @@ from tagrtg.leftcorner import lc_fbrtg
 from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, NonterminalMismatch
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg, parse_rtg, save_rtg
 from tagrtg.tag import parse_tag
+from tagrtg.translate import to_fbrtg
 
 FEATURE_FILE = """\
 rtg 1 standard
@@ -49,6 +50,10 @@ def test_feature_grammar_round_trips(feature_grammar):
         'initial nps { (NP_S kind=adj (word "nps")) }\n'
     ))
     assert parse_rtg(format_rtg(lc)) == lc
+    # No node carries the start label; the axiom is declared all the same.
+    startless = parse_tag('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')
+    for grammar in (to_fbrtg(startless), lc_fbrtg(startless)):
+        assert parse_rtg(format_rtg(grammar)) == grammar
 
 
 def test_plain_grammar_round_trips(plain_grammar):

@@ -33,16 +33,38 @@ def test_leaf_forms():
     assert parse_tree("e_A()") == DerivTree("e_A")
 
 
-@pytest.mark.parametrize("text", ["", "f(", "f(a,)", "f(a))", "f(,a)", "(a)"])
+REJECTED = {
+    "": ("expected a label", 0),
+    "(a)": ("expected a label", 0),
+    "f(": ("expected a label", 2),
+    "f(,a)": ("expected a label", 2),
+    "  ": ("expected a label", 2),
+    "f(a,)": ("expected a label", 4),
+    "f(a))": ("trailing input", 4),
+    "f(a)(b)": ("trailing input", 4),
+    "f(a) b": ("trailing input", 5),
+    "f(a": ("expected ',' or ')'", 3),
+    "g(f(a)b)": ("expected ',' or ')'", 6),
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTED))
 def test_parse_rejects(text):
-    with pytest.raises(TreeSyntaxError):
+    message, position = REJECTED[text]
+    with pytest.raises(TreeSyntaxError) as err:
         parse_tree(text)
+    assert str(err.value) == f"{message} (at offset {position})"
+    assert err.value.position == position
+
+
+def height(tree):
+    return 1 + max((height(child) for child in tree.children), default=0)
 
 
 def test_size_and_height():
     tree = parse_tree(EXAMPLE)
-    assert tree.size() == 10
-    assert tree.height() == 5
+    assert len(list(tree.positions())) == 10
+    assert height(tree) == 5
 
 
 def test_positions_are_gorn_addresses():
@@ -63,6 +85,22 @@ def test_to_dot_lists_nodes_and_edges():
     assert "n0 -> n1;" in dot
     assert "n1 -> n2;" in dot
     assert dot.endswith("}")
+
+
+def test_to_dot_writes_each_edge_after_the_subtree_below_it():
+    tree = DerivTree("f", (DerivTree('a"b', (DerivTree("b\\c"),)), DerivTree("c")))
+    assert to_dot(tree, "g") == "\n".join([
+        "digraph g {",
+        "  node [shape=plaintext];",
+        '  n0 [label="f"];',
+        '  n1 [label="a\\"b"];',
+        '  n2 [label="b\\\\c"];',
+        "  n1 -> n2;",
+        "  n0 -> n1;",
+        '  n3 [label="c"];',
+        "  n0 -> n3;",
+        "}",
+    ])
 
 
 LABELS = ["caught", "one of", "e_A", "the", "x1"]
@@ -87,4 +125,17 @@ def test_round_trip(tree):
 
 @given(tree_strategy())
 def test_positions_count_matches_size(tree):
-    assert len(list(tree.positions())) == tree.size()
+    def size(node):
+        return 1 + sum(size(child) for child in node.children)
+
+    assert len(list(tree.positions())) == size(tree)
+
+
+def test_deep_trees_parse_and_print():
+    depth = 100_000
+    text = "f(" * depth + "a" + ")" * depth
+    tree = parse_tree(text)
+    assert format_tree(tree) == text
+    dot = to_dot(tree).splitlines()
+    assert dot[2:4] == ['  n0 [label="f"];', '  n1 [label="f"];']
+    assert dot[-3:] == ["  n1 -> n2;", "  n0 -> n1;", "}"]
