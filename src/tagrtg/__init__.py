@@ -32,7 +32,6 @@ from tagrtg.leftcorner import (
     lc_fbrtg,
     lc_image,
     lc_inverse,
-    lc_rtg,
 )
 from tagrtg.rtg import (
     EPS_ADJOIN,
@@ -65,7 +64,7 @@ from tagrtg.tag import (
     parse_tag,
     save_tag,
 )
-from tagrtg.translate import to_fbrtg, to_rtg
+from tagrtg.translate import to_fbrtg
 from tagrtg.trees import DerivTree, TreeSyntaxError, format_tree, parse_tree, to_dot
 
 __version__ = "0.1.0"
@@ -74,14 +73,14 @@ __all__ = [
     "IDENTITY", "TOP", "Atom", "Avm", "FeatureSyntaxError", "Substitution", "Var",
     "alpha_equal", "apply", "compose", "format_feature", "freshen", "parse_feature",
     "unify", "unify_all", "variables",
-    "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse", "lc_rtg",
+    "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse",
     "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule", "Flavor",
     "GrammarError", "Nonterminal", "NonterminalMismatch", "SiteInfo",
     "accepts", "accepts_detailed", "enumerate_trees", "erase_features", "reduce_grammar",
     "RtgParseError", "format_rtg", "load_rtg", "parse_rtg", "save_rtg",
     "ElemTree", "NodeKind", "ParseError", "Tag", "TreeNode", "ValidationError",
     "bundled_grammar", "format_tag", "load_tag", "parse_tag", "save_tag",
-    "to_fbrtg", "to_rtg",
+    "to_fbrtg",
     "DerivTree", "TreeSyntaxError", "format_tree", "parse_tree", "to_dot",
     "__version__",
 ]

@@ -27,17 +27,16 @@ from tagrtg.rtg import (
     GrammarError,
     Nonterminal,
     SiteInfo,
-    erase_features,
 )
-from tagrtg.tag import ElemTree, Tag
+from tagrtg.tag import Tag
 from tagrtg.translate import (
     INTERFACE_VAR,
+    _below_root,
     _constraint,
     _pair,
     closure_rule,
     declared_nonterminals,
     fresh_name,
-    node_nt,
     site_table,
     symbols,
     tree_rule,
@@ -66,14 +65,6 @@ def _epsilon_subst_rule(symbol: str) -> FbRule:
     )
 
 
-def _below_root(tree: ElemTree) -> tuple:
-    return tuple(
-        (node_nt(node), _constraint(_pair(node.top, node.bot)))
-        for node in tree.active_nodes()
-        if node is not tree.root
-    )
-
-
 def lc_fbrtg(tag: Tag) -> FbRtg:
     """The left-corner transformed feature grammar of a TAG.
 
@@ -82,7 +73,6 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
     and its original rule.  A label names a plain nonterminal here, so
     no label may be another label followed by a flavor suffix.
     """
-    tag.validate()
     for tree in tag.auxiliaries:
         if not tree.root_active:
             raise RootNotAdjoinable(
@@ -146,11 +136,6 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
         form="lc",
         sites=site_table(tag),
     )
-
-
-def lc_rtg(tag: Tag) -> FbRtg:
-    """The plain left-corner transformed grammar: same rules, no features."""
-    return erase_features(lc_fbrtg(tag))
 
 
 # ------------------------------------------------------------- inversion

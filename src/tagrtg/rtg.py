@@ -22,6 +22,7 @@ from typing import Iterator, Optional
 
 from tagrtg.features import (
     IDENTITY,
+    Avm,
     FeatureTerm,
     Substitution,
     apply,
@@ -84,6 +85,10 @@ class FbRule:
         if not self.rhs:
             return f"{left} -> {self.terminal}"
         inner = ", ".join(_format_slot(nt, feat) for nt, feat in self.rhs)
+        last = self.rhs[-1][1]
+        if last and not isinstance(last[-1], Avm):
+            # A bare atom or variable would read on into the ')'.
+            inner += " "
         return f"{left} -> {self.terminal}({inner})"
 
 

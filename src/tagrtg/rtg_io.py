@@ -16,27 +16,26 @@ transformation, and one rule per line in display syntax::
       NP_S [top: ?t] -> cats(NP_A [top: ?t, bot: [agr: 3pl]]);
     }
 
-Blank lines and lines starting with # are skipped.  A nonterminal is
-its name, which ends at its first space in a rule; a final ``_S`` or
-``_A`` names its site flavor.  Terminal names may contain spaces.  No
-name contains any of ``=/,;&()`` or brackets.
+Blank lines and lines starting with # are skipped.  A rule is read
+once, left to right.  A nonterminal is its name, which ends at
+whitespace, a comma, a parenthesis or ``->``; a final ``_S`` or ``_A``
+names its site flavor.  Whitespace separates a nonterminal from its
+constraint: conjuncts joined by ``&``, each of them whatever
+`parse_feature` reads from where the last one ended.  So an atom may
+contain ``(``, ``)``, ``&`` or ``->``, and a bare atom or variable ends
+only at whitespace or at one of ``[]:,?``; one that ends a slot list is
+written with a space before the ``)``.  Terminal names may contain
+spaces.  No name contains any of ``=/,;&()`` or brackets.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Optional, Union
 
-from tagrtg.features import parse_feature
-from tagrtg.rtg import (
-    Constraint,
-    FbRtg,
-    FbRule,
-    Nonterminal,
-    SiteInfo,
-    Slot,
-    format_constraint,
-)
+from tagrtg.features import FeatureSyntaxError, format_feature, parse_feature_at
+from tagrtg.rtg import FbRtg, FbRule, Nonterminal, SiteInfo, Slot
 
 FORMAT_VERSION = 1
 
@@ -80,78 +79,64 @@ def save_rtg(grammar: FbRtg, path: Union[str, Path]) -> None:
 # -------------------------------------------------------------- parsing
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on `sep` outside brackets and parentheses."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+_SPACE = re.compile(r"\s*")
+# A nonterminal and the whitespace after it.
+_NAME = re.compile(r"\s*((?:[^\s,()-]|-(?!>))+)(\s*)")
 
 
-def _parse_constraint(text: str, line: int) -> Constraint:
-    text = text.strip()
-    if not text:
-        return ()
-    terms = []
-    for chunk in _split_top(text, "&"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise RtgParseError("empty conjunct in constraint", line)
-        try:
-            terms.append(parse_feature(chunk))
-        except ValueError as err:
-            raise RtgParseError(f"bad feature term {chunk!r}: {err}", line) from err
-    return tuple(terms)
-
-
-def _parse_slot(text: str, line: int) -> Slot:
-    text = text.strip()
-    if not text:
+def _parse_slot(text: str, pos: int, ends: tuple[str, ...], line: int) -> tuple[Slot, int]:
+    """Read a nonterminal at `pos` and the conjuncts after it, up to one
+    of `ends`; returns the slot and the position after it."""
+    name = _NAME.match(text, pos)
+    if name is None:
         raise RtgParseError("empty slot", line)
-    head, _, rest = text.partition(" ")
-    return Nonterminal(head), _parse_constraint(rest, line)
-
-
-def _find_arrow(text: str, line: int) -> int:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        elif ch == "-" and depth == 0 and text[i : i + 2] == "->":
-            return i
-    raise RtgParseError("rule is missing '->'", line)
+    nt = Nonterminal(name[1])
+    start = name.end()
+    if not name[2] or text.startswith(ends, start):
+        return (nt, ()), start
+    conjuncts = []
+    while True:
+        try:
+            term, pos = parse_feature_at(text, start)
+        except FeatureSyntaxError as err:
+            raise RtgParseError(f"bad feature term in {text!r}: {err}", line) from None
+        conjuncts.append(term)
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text) or text.startswith(ends, pos):
+            return (nt, tuple(conjuncts)), pos
+        if text[pos] != "&":
+            wanted = " or ".join(repr(end) for end in ("&",) + ends)
+            raise RtgParseError(f"expected {wanted} after {format_feature(term)}", line)
+        start = _SPACE.match(text, pos + 1).end()
+        if start == len(text) or text.startswith(ends, start):
+            raise RtgParseError("empty conjunct in constraint", line)
 
 
 def _parse_rule(text: str, line: int) -> FbRule:
-    arrow = _find_arrow(text, line)
-    lhs, lhs_feat = _parse_slot(text[:arrow], line)
-    rhs_text = text[arrow + 2 :].strip()
-    if not rhs_text:
-        raise RtgParseError("rule is missing a right-hand side", line)
-    paren = rhs_text.find("(")
+    if "->" not in text:
+        raise RtgParseError("rule is missing '->'", line)
+    (lhs, lhs_feat), pos = _parse_slot(text, 0, ("->",), line)
+    if not text.startswith("->", pos):
+        raise RtgParseError("rule is missing '->'", line)
+    pos = _SPACE.match(text, pos + 2).end()
+    paren = text.find("(", pos)
     if paren == -1:
-        return FbRule(lhs, lhs_feat, rhs_text, ())
-    if not rhs_text.endswith(")"):
-        raise RtgParseError("unbalanced parentheses in rule", line)
-    terminal = rhs_text[:paren].strip()
+        if pos == len(text):
+            raise RtgParseError("rule is missing a right-hand side", line)
+        return FbRule(lhs, lhs_feat, text[pos:], ())
+    terminal = text[pos:paren].rstrip()
     if not terminal:
         raise RtgParseError("rule is missing its terminal", line)
-    inner = rhs_text[paren + 1 : -1]
-    slots = tuple(_parse_slot(chunk, line) for chunk in _split_top(inner, ","))
-    return FbRule(lhs, lhs_feat, terminal, slots)
+    slots = []
+    pos = paren
+    while True:
+        slot, pos = _parse_slot(text, pos + 1, (",", ")"), line)
+        slots.append(slot)
+        if not text.startswith(",", pos):
+            break
+    if text[pos:] != ")":
+        raise RtgParseError("unbalanced parentheses in rule", line)
+    return FbRule(lhs, lhs_feat, terminal, tuple(slots))
 
 
 def _parse_site(text: str, line: int) -> tuple[str, SiteInfo]:
@@ -171,40 +156,38 @@ def _parse_site(text: str, line: int) -> tuple[str, SiteInfo]:
     return name, SiteInfo(words[0], words[1] == "active", kinds)
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.index = 0
-
-    def next(self) -> tuple[str, int]:
-        while self.index < len(self.raw):
-            line = self.raw[self.index].strip()
-            self.index += 1
-            if line and not line.startswith("#"):
-                return line, self.index
-        raise RtgParseError("unexpected end of file", len(self.raw) + 1)
-
-    def exhausted(self) -> bool:
-        return all(
-            not line.strip() or line.strip().startswith("#")
-            for line in self.raw[self.index :]
-        )
+def _content_lines(text: str) -> Iterator[tuple[Optional[str], int]]:
+    """Each line that is neither blank nor a comment, stripped, with its
+    number; then (None, n) for the end of the file at line n."""
+    lines = text.splitlines()
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line, number
+    yield None, len(lines) + 1
 
 
-def _labeled(lines: _Lines, label: str) -> tuple[str, int]:
-    line, number = lines.next()
+def _next(lines: Iterator[tuple[Optional[str], int]]) -> tuple[str, int]:
+    line, number = next(lines)
+    if line is None:
+        raise RtgParseError("unexpected end of file", number)
+    return line, number
+
+
+def _labeled(lines, label: str) -> tuple[str, int]:
+    line, number = _next(lines)
     if not line.startswith(label + ":") or not line.endswith(";"):
         raise RtgParseError(f"expected '{label}: ...;'", number)
     return line[len(label) + 1 : -1].strip(), number
 
 
-def _block(lines: _Lines, label: str) -> list[tuple[str, int]]:
-    line, number = lines.next()
+def _block(lines, label: str) -> list[tuple[str, int]]:
+    line, number = _next(lines)
     if line != label + " {":
         raise RtgParseError(f"expected '{label} {{'", number)
     entries = []
     while True:
-        line, number = lines.next()
+        line, number = _next(lines)
         if line == "}":
             return entries
         if not line.endswith(";"):
@@ -213,8 +196,8 @@ def _block(lines: _Lines, label: str) -> list[tuple[str, int]]:
 
 
 def parse_rtg(text: str) -> FbRtg:
-    lines = _Lines(text)
-    header, number = lines.next()
+    lines = _content_lines(text)
+    header, number = _next(lines)
     words = header.split()
     if len(words) != 3 or words[0] != "rtg":
         raise RtgParseError("expected version line 'rtg 1 <form>'", number)
@@ -241,8 +224,8 @@ def parse_rtg(text: str) -> FbRtg:
 
     sites = tuple(_parse_site(entry, n) for entry, n in _block(lines, "sites"))
     rules = tuple(_parse_rule(entry, n) for entry, n in _block(lines, "rules"))
-    if not lines.exhausted():
-        line, number = lines.next()
+    line, number = next(lines)
+    if line is not None:
         raise RtgParseError(f"unexpected trailing content {line!r}", number)
 
     grammar = FbRtg(

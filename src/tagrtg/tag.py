@@ -87,8 +87,14 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Tag:
+    """A validated grammar: construction raises `ValidationError` on a
+    TAG that breaks the tree-shape rules of `validate`."""
+
     start: str
     trees: tuple[ElemTree, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def initials(self) -> tuple[ElemTree, ...]:
@@ -198,9 +204,7 @@ def parse_tag(text: str) -> Tag:
             _fail(text, pos, f"expected 'start', 'initial' or 'auxiliary', got {keyword!r}")
     if start is None:
         _fail(text, len(text), "missing start symbol")
-    tag = Tag(start, tuple(trees))
-    tag.validate()
-    return tag
+    return Tag(start, tuple(trees))
 
 
 _KINDS = {k.value: k for k in (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION, NodeKind.FOOT)}

@@ -25,7 +25,6 @@ from tagrtg.rtg import (
     Flavor,
     Nonterminal,
     SiteInfo,
-    erase_features,
 )
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
 
@@ -100,16 +99,14 @@ def _constraint(*terms) -> Constraint:
     return tuple(term for term in terms if not is_top(term))
 
 
-def slot_features(node: TreeNode, root: TreeNode, t: str) -> Constraint:
-    """The feature pair riding on one right-hand slot.
-
-    The root slot shares the interface variable on top and keeps the
-    root's own bottom; every other site carries its top and bottom
-    unchanged.
-    """
-    if node is root:
-        return _constraint(_pair(Var(t), root.bot))
-    return _constraint(_pair(node.top, node.bot))
+def _below_root(tree: ElemTree) -> tuple:
+    """The slots of the sites below the root, each carrying its top and
+    bottom unchanged."""
+    return tuple(
+        (node_nt(node), _constraint(_pair(node.top, node.bot)))
+        for node in tree.active_nodes()
+        if node is not tree.root
+    )
 
 
 def interface(tree: ElemTree, t: str) -> Constraint:
@@ -130,16 +127,13 @@ def interface(tree: ElemTree, t: str) -> Constraint:
 def tree_rule(tree: ElemTree) -> FbRule:
     t = fresh_name(INTERFACE_VAR, tree_variables(tree))
     lhs_flavor = Flavor.ADJOIN if tree.auxiliary else Flavor.SUBST
-    slots = tuple(
-        (node_nt(node), slot_features(node, tree.root, t))
-        for node in tree.active_nodes()
-    )
-    return FbRule(
-        Nonterminal(tree.root.label, lhs_flavor),
-        interface(tree, t),
-        tree.name,
-        slots,
-    )
+    root = tree.root
+    slots = _below_root(tree)
+    if tree.root_active:
+        # The root slot shares the interface variable on top and keeps
+        # the root's own bottom.
+        slots = ((node_nt(root), _constraint(_pair(Var(t), root.bot))),) + slots
+    return FbRule(Nonterminal(root.label, lhs_flavor), interface(tree, t), tree.name, slots)
 
 
 def closure_rule(symbol: str) -> FbRule:
@@ -154,7 +148,6 @@ def to_fbrtg(tag: Tag) -> FbRtg:
     One rule per elementary tree plus one empty-adjunction rule per
     symbol; the whole construction is linear in the size of the input.
     """
-    tag.validate()
     names = symbols(tag)
     nonterminals = declared_nonterminals(tag, names, (Flavor.SUBST, Flavor.ADJOIN))
     rules = tuple(tree_rule(tree) for tree in tag.trees) + tuple(
@@ -171,8 +164,3 @@ def to_fbrtg(tag: Tag) -> FbRtg:
         form="standard",
         sites=site_table(tag),
     )
-
-
-def to_rtg(tag: Tag) -> FbRtg:
-    """The plain derivation-tree grammar: same skeleton, no features."""
-    return erase_features(to_fbrtg(tag))

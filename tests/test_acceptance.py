@@ -32,7 +32,7 @@ from tagrtg.features import (
     unify_all,
     variables,
 )
-from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse, lc_rtg
+from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse
 from tagrtg.rtg import (
     FbRtg,
     FbRule,
@@ -44,7 +44,7 @@ from tagrtg.rtg import (
 )
 from tagrtg.rtg_io import parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
-from tagrtg.translate import to_fbrtg, to_rtg
+from tagrtg.translate import to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -371,9 +371,10 @@ def test_criterion_8_size_bound_and_linear_time(fig2):
     for seed in range(50):
         tag = random_tag(seed)
         tag.validate()
-        assert len(lc_rtg(tag).rules) <= 2 * len(to_rtg(tag).rules), f"seed {seed}"
-    assert len(to_rtg(fig2).rules) == 13
-    assert len(lc_rtg(fig2).rules) == 23 <= 2 * 13
+        lc, std = erase_features(lc_fbrtg(tag)), erase_features(to_fbrtg(tag))
+        assert len(lc.rules) <= 2 * len(std.rules), f"seed {seed}"
+    assert len(erase_features(to_fbrtg(fig2)).rules) == 13
+    assert len(erase_features(lc_fbrtg(fig2)).rules) == 23 <= 2 * 13
 
     factors = (1, 10, 100)
     times = _best_times([_replicate(fig2, factor) for factor in factors], 100)

@@ -44,6 +44,33 @@ def test_translate_matches_stored_transcripts(capsys, flags, transcript):
     assert out == (GOLDEN / transcript).read_text()
 
 
+PAREN_ATOMS_TAG = """\
+start: S;
+initial t { (S (NP kind=subst top=[f: b(c]) (NP kind=subst) (word "w")) }
+initial n { (NP kind=adj bot=[f: b(c, g: d)] (word "n")) }
+initial m { (NP kind=adj bot=[f: d)] (word "m")) }
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, trees, rejected",
+    [
+        ([], ["t(n(e_A), n(e_A))", "t(n(e_A), m(e_A))"], "t(m(e_A), n(e_A))"),
+        (["--reduce"], ["t(n, n)", "t(n, m)"], "t(m, n)"),
+    ],
+)
+def test_atoms_with_parentheses_read_back(tmp_path, capsys, flags, trees, rejected):
+    tag = tmp_path / "parens.tag"
+    tag.write_text(PAREN_ATOMS_TAG)
+    rtg = str(tmp_path / "parens.rtg")
+    assert main(["translate", str(tag), "--features", *flags, "--out", rtg]) == 0
+    assert main(["enumerate", rtg, "--max-depth", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == trees
+    for tree in trees:
+        assert main(["check", rtg, tree]) == 0
+    assert main(["check", rtg, rejected]) == 1
+
+
 def test_translate_out_writes_the_same_bytes(tmp_path, capsys):
     target = tmp_path / "g.rtg"
     assert main(["translate", FIG2, "--features", "--reduce", "--out", str(target)]) == 0

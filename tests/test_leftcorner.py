@@ -8,11 +8,10 @@ from tagrtg.leftcorner import (
     lc_fbrtg,
     lc_image,
     lc_inverse,
-    lc_rtg,
 )
 from tagrtg.rtg import GrammarError, accepts, enumerate_trees, erase_features, reduce_grammar
 from tagrtg.tag import parse_tag
-from tagrtg.translate import site_table, to_fbrtg, to_rtg
+from tagrtg.translate import site_table, to_fbrtg
 from tagrtg.trees import DerivTree, format_tree, parse_tree
 
 
@@ -119,18 +118,19 @@ def test_reduced_feature_rules(lc_feature_grammar):
 
 
 def test_reduced_plain_rules(fig2):
-    red = reduce_grammar(lc_rtg(fig2))
+    red = reduce_grammar(erase_features(lc_fbrtg(fig2)))
     assert [str(r) for r in red.rules] == REDUCED_LC_PLAIN
 
 
 def test_plain_form_is_the_erasure(fig2, lc_feature_grammar):
-    assert lc_rtg(fig2) == erase_features(lc_feature_grammar)
+    assert erase_features(lc_fbrtg(fig2)) == erase_features(lc_feature_grammar)
 
 
 def test_rule_growth_stays_within_double(fig2, lc_feature_grammar):
     assert len(lc_feature_grammar.rules) == 23
     assert len(lc_feature_grammar.rules) <= 2 * len(to_fbrtg(fig2).rules)
-    assert len(lc_rtg(fig2).rules) <= 2 * len(to_rtg(fig2).rules)
+    plain_lc, plain = erase_features(lc_fbrtg(fig2)), erase_features(to_fbrtg(fig2))
+    assert len(plain_lc.rules) <= 2 * len(plain.rules)
 
 
 def test_active_initial_root_keeps_its_own_pair():

@@ -1,9 +1,12 @@
 """Grammar file round trips and parse diagnostics."""
 
+from itertools import zip_longest
+
 import pytest
 
+from tagrtg.features import parse_feature
 from tagrtg.leftcorner import lc_fbrtg
-from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, NonterminalMismatch
+from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, NonterminalMismatch, reduce_grammar
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg, parse_rtg, save_rtg
 from tagrtg.tag import parse_tag
 from tagrtg.translate import to_fbrtg
@@ -36,6 +39,14 @@ rules {
 """
 
 
+PAREN_ATOMS_TAG = """\
+start: S;
+initial t { (S (NP kind=subst top=[f: b(c]) (NP kind=subst) (word "w")) }
+initial n { (NP kind=adj bot=[f: b(c, g: d)] (word "n")) }
+initial m { (NP kind=adj bot=[f: d)] (word "m")) }
+"""
+
+
 def test_feature_grammar_formats_exactly(feature_grammar):
     assert format_rtg(feature_grammar) == FEATURE_FILE
 
@@ -54,6 +65,30 @@ def test_feature_grammar_round_trips(feature_grammar):
     startless = parse_tag('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')
     for grammar in (to_fbrtg(startless), lc_fbrtg(startless)):
         assert parse_rtg(format_rtg(grammar)) == grammar
+    # An atom may contain parentheses; the constraint ends where the
+    # feature reader says it does.
+    parens = parse_tag(PAREN_ATOMS_TAG)
+    for grammar in (to_fbrtg(parens), lc_fbrtg(parens)):
+        for form in (grammar, reduce_grammar(grammar)):
+            assert parse_rtg(format_rtg(form)) == form
+
+
+def test_bare_terms_round_trip():
+    # Atoms may hold '(', ')', '&' and '->'; a bare term before ')' is
+    # written with a space so that it does not read on into it.
+    def c(*texts):
+        return tuple(parse_feature(t) for t in texts)
+
+    x, y = Nonterminal("X"), Nonterminal("Y")
+    rules = (
+        FbRule(x, c("a->b", "?v", "[f: g(]"), "t", ((y, c("b)", "?w")), (x, c("?u)")))),
+        FbRule(y, c("a&b"), "u", ((x, c("[f: ?v]", "c")),)),
+    )
+    grammar = FbRtg(x, (x, y), (("t", 2), ("u", 1)), rules)
+    text = format_rtg(grammar)
+    assert "X a->b & ?v & [f: g(] -> t(Y b) & ?w, X ?u) );" in text
+    assert "Y a&b -> u(X [f: ?v] & c );" in text
+    assert parse_rtg(text) == grammar
 
 
 def test_plain_grammar_round_trips(plain_grammar):
@@ -100,6 +135,9 @@ def test_empty_sites_section():
     assert grammar.axiom == Nonterminal("X_S") == "X_S"
 
 
+FISH = "NP_S [top: ?t] -> fish(NP_A [top: ?t]);"
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -111,7 +149,22 @@ def test_empty_sites_section():
         (lambda t: t.replace("-> e_A;", "e_A;"), "missing '->'"),
         (lambda t: t.replace("rules {", "rules {\n  NP_S -> ;"), "right-hand side"),
         (lambda t: t + "leftovers\n", "trailing content"),
-        (lambda t: t.replace("  NP_S [top: ?t] -> fish(NP_A [top: ?t]);\n", ""), None),
+        (lambda t: t.replace(", NP_S);", ", );"), "empty slot"),
+        (lambda t: t.replace("fish(NP_A [top: ?t])", "fish()"), "empty slot"),
+        (lambda t: t.replace(FISH, "NP_S [top: ?t] & -> fish(NP_A);"), "empty conjunct"),
+        (lambda t: t.replace(FISH, "NP_S -> fish(NP_A [top: ?t] & );"), "empty conjunct"),
+        (lambda t: t.replace(FISH, "NP_S -> fish(NP_A [top: ?t];"), "unbalanced paren"),
+        (lambda t: t.replace(FISH, "NP_S -> fish(NP_A)) (NP_A);"), "unbalanced paren"),
+        (lambda t: t.replace(FISH, "NP_S [top: ?t] -> (NP_A);"), "missing its terminal"),
+        (
+            lambda t: t.replace(FISH, "NP_S [top: ?t] [bot: ?t] -> fish(NP_A);"),
+            "expected '&' or '->' after [top: ?t]",
+        ),
+        (
+            lambda t: t.replace(FISH, "NP_S -> fish(NP_A [top: ?t] [bot: ?t]);"),
+            "expected '&' or ',' or ')' after [top: ?t]",
+        ),
+        (lambda t: t.replace("  " + FISH + "\n", ""), None),
     ],
 )
 def test_parse_errors(mangle, message):
@@ -123,6 +176,9 @@ def test_parse_errors(mangle, message):
     with pytest.raises(RtgParseError) as err:
         parse_rtg(text)
     assert message in str(err.value)
+    # The error names the first line the mangling changed.
+    pairs = zip_longest(text.splitlines(), FEATURE_FILE.splitlines())
+    assert err.value.line == next(n for n, (a, b) in enumerate(pairs, start=1) if a != b)
 
 
 def test_parse_validates_the_grammar():

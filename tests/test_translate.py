@@ -10,7 +10,7 @@ import pytest
 from tagrtg.rtg import Flavor, Nonterminal, erase_features, reduce_grammar
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
 from tagrtg.features import parse_feature
-from tagrtg.translate import site_table, symbols, to_fbrtg, to_rtg
+from tagrtg.translate import site_table, symbols, to_fbrtg
 
 UNREDUCED = [
     "S_S -> caught(NP_S [top: [agr: ?x]], VP_A [top: [agr: ?x, mode: ind], bot: [mode: ppart]], NP_S)",
@@ -66,14 +66,12 @@ def test_reduction_reaches_the_frozen_grammar(fig2, feature_grammar):
 
 
 def test_plain_translation_reduces_to_the_frozen_skeleton(fig2, plain_grammar):
-    assert reduce_grammar(to_rtg(fig2)) == plain_grammar
+    assert reduce_grammar(erase_features(to_fbrtg(fig2))) == plain_grammar
 
 
 def test_plain_translation_is_the_erased_feature_translation(fig2):
-    assert to_rtg(fig2) == erase_features(to_fbrtg(fig2))
-    assert all(
-        not r.lhs_feat and all(not feat for _, feat in r.rhs) for r in to_rtg(fig2).rules
-    )
+    plain = erase_features(to_fbrtg(fig2))
+    assert all(not r.lhs_feat and all(not feat for _, feat in r.rhs) for r in plain.rules)
 
 
 def _anchor(word):
@@ -124,6 +122,5 @@ def test_inactive_auxiliary_root_exposes_only_the_foot():
 def test_translation_validates_its_input():
     foot = TreeNode("NP", kind=NodeKind.FOOT)
     root = TreeNode("VP", kind=NodeKind.ADJUNCTION, children=(foot,))
-    broken = Tag("S", (ElemTree("w", True, root),))
     with pytest.raises(ValueError):
-        to_fbrtg(broken)
+        Tag("S", (ElemTree("w", True, root),))
