@@ -203,7 +203,7 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     return tuple(slots)
 
 
-def _derivations(grammar, root, expand, fail, trail):
+def _derivations(grammar, root, expand, fail, trail, step=None):
     """Every leftmost derivation from the axiom, depth first, backtracking
     over an explicit stack of frames, one per rewrite on the current path.
 
@@ -215,14 +215,17 @@ def _derivations(grammar, root, expand, fail, trail):
     Each frame remembers the trail length it started at and undoes to
     it before each candidate and when it is popped.  A complete
     derivation comes out as a chain of steps (position, rule, trail
-    mark, previous step), last step first, with its bindings still on
-    `trail`; step k made the bindings between its mark and the next.
+    mark, previous step, value), last step first, with its bindings
+    still on `trail`; step k made the bindings between its mark and the
+    next.  Without `step` every value is None; with it, a step's value
+    is `step(value of the previous step, rule)`, computed once, when the
+    step fires, and shared by every derivation that extends it.
     """
     leaf = (ROOT, root, grammar.axiom, None)
     rules, guides = expand(1, leaf)
-    stack = [(iter(rules), leaf, None, None, guides, len(trail))]
+    stack = [(iter(rules), leaf, None, None, None, guides, len(trail))]
     while stack:
-        rules, leaf, pending, chain, guides, mark = stack[-1]
+        rules, leaf, pending, chain, value, guides, mark = stack[-1]
         pos, _, _, node = leaf
         for rule in rules:
             undo(trail, mark)
@@ -240,13 +243,15 @@ def _derivations(grammar, root, expand, fail, trail):
             rest = pending
             for kid in reversed(grown):
                 rest = (kid, rest)
-            link = (pos, rule, mark, chain)
+            link = (pos, rule, mark, chain, None if step is None else step(value, rule))
             if rest is None:
                 yield link
                 continue
             below, rest = rest
             below_rules, below_guides = expand(len(stack) + 1, below)
-            stack.append((iter(below_rules), below, rest, link, below_guides, len(trail)))
+            stack.append(
+                (iter(below_rules), below, rest, link, link[4], below_guides, len(trail))
+            )
             break
         else:
             undo(trail, mark)
@@ -273,6 +278,13 @@ def enumerate_trees(
     rewriting, and distinct runs that assemble the same tree yield it
     once; `stats`, when given, accumulates the number of attempted and
     failed rule applications.
+
+    Each step of a derivation carries the tree built so far, and
+    derivations that share a prefix share those steps, so a tree costs
+    the steps that are new to it plus the ancestors its last leaf
+    closes, not its size.  A grammar with at most one rule per
+    (left-hand side, terminal, rank) derives each tree once; only a
+    grammar with a repeated shape keeps a set of the trees it emitted.
     """
     if max_depth < 1:
         return
@@ -281,6 +293,7 @@ def enumerate_trees(
         stats.setdefault("failures", 0)
     by_lhs = grammar.index.by_lhs
     leaf_rules = {nt: [r for r in rules if not r.rhs] for nt, rules in by_lhs.items()}
+    leaves = {r.terminal: DerivTree(r.terminal) for r in grammar.rules if not r.rhs}
 
     def expand(index, leaf):
         _, depth, nt, _ = leaf
@@ -293,15 +306,29 @@ def enumerate_trees(
         if stats is not None:
             stats["failures"] += 1
 
+    def grow(tree, rule):
+        # A partial tree is a stack of open nodes (label, rank, finished
+        # children, parent), None below the root.  Leftmost steps come in
+        # preorder, so a leaf closes every open node it completes; the
+        # step that closes the root gives the finished tree.
+        if rule.rhs:
+            return (rule.terminal, len(rule.rhs), (), tree)
+        done = leaves[rule.terminal]
+        while tree is not None:
+            label, rank, kids, parent = tree
+            kids += (done,)
+            if len(kids) < rank:
+                return (label, rank, kids, parent)
+            done = DerivTree(label, kids)
+            tree = parent
+        return done
+
+    trees = (link[4] for link in _derivations(grammar, 1, expand, fail, [], grow))
+    if all(len(rules) == 1 for rules in grammar.index.by_shape.values()):
+        yield from trees
+        return
     seen = set()
-    for chain in _derivations(grammar, 1, expand, fail, []):
-        # Leftmost steps come in preorder, so the last step is the
-        # rightmost leaf and each rule finds its subtrees on top.
-        built: list[DerivTree] = []
-        while chain is not None:
-            _, rule, _, chain = chain
-            built.append(DerivTree(rule.terminal, tuple(built.pop() for _ in rule.rhs)))
-        tree = built[0]
+    for tree in trees:
         if tree not in seen:
             seen.add(tree)
             yield tree
@@ -399,7 +426,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     # segment it added, read back before the segment is undone.
     links = []
     while chain is not None:
-        pos, rule, mark, chain = chain
+        pos, rule, mark, chain, _ = chain
         links.append((pos, rule, bindings(trail, mark)))
         undo(trail, mark)
     steps = tuple(

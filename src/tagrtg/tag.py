@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from tagrtg.features import (
     TOP,
+    Avm,
     FeatureSyntaxError,
     FeatureTerm,
     format_feature,
@@ -85,6 +86,11 @@ class ValidationError(ValueError):
     pass
 
 
+# A tree name becomes a terminal of the `.rtg` file, whose lines these
+# characters delimit.
+_NAME_DELIMITERS = frozenset("=/,;&()[]{}")
+
+
 @dataclass(frozen=True)
 class Tag:
     """A validated grammar: construction raises `ValidationError` on a
@@ -110,6 +116,9 @@ class Tag:
             where = f"tree {tree.name!r}"
             if tree.name in names:
                 raise ValidationError(f"duplicate {where}")
+            bad = [c for c in tree.name if c in _NAME_DELIMITERS]
+            if bad:
+                raise ValidationError(f"{where}: a tree name cannot contain {bad[0]!r}")
             names.add(tree.name)
             feet = [n for n in tree.nodes() if n.kind is NodeKind.FOOT]
             if tree.auxiliary:
@@ -268,13 +277,18 @@ def _format_node(node: TreeNode) -> str:
     if node.kind is NodeKind.ANCHOR:
         return f'(word "{node.label}")'
     parts = [node.label]
+    last = None
     if node.kind is not NodeKind.INTERNAL:
         parts.append(f"kind={node.kind.value}")
     if not is_top(node.top):
         parts.append(f"top={format_feature(node.top)}")
+        last = node.top
     if not is_top(node.bot):
         parts.append(f"bot={format_feature(node.bot)}")
+        last = node.bot
     parts.extend(_format_node(child) for child in node.children)
+    if last is not None and not node.children and not isinstance(last, Avm):
+        parts.append("")  # a bare atom or variable would read on into the ')'
     return "(" + " ".join(parts) + ")"
 
 

@@ -12,7 +12,7 @@ yields one pass/fail line per criterion.
 import gc
 import random
 import time
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import pytest
@@ -37,10 +37,12 @@ from tagrtg.rtg import (
     FbRtg,
     FbRule,
     Nonterminal,
+    _derivations,
     accepts,
     accepts_detailed,
     enumerate_trees,
     erase_features,
+    reduce_grammar,
 )
 from tagrtg.rtg_io import parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
@@ -330,6 +332,63 @@ def _lc_disagreements(seeds, height):
             if not accepts(std, lc_inverse(lc, tree)):
                 wrong.append((seed, str(tree)))
     return checked, wrong
+
+
+def _rebuilt_enumeration(grammar, max_depth):
+    """The reference for `enumerate_trees`: rebuild every tree from its
+    whole derivation, then drop repeats with a set of emitted trees."""
+    by_lhs = grammar.index.by_lhs
+
+    def expand(index, leaf):
+        _, depth, nt, _ = leaf
+        rules = by_lhs.get(nt, ())
+        if depth >= max_depth:
+            rules = [r for r in rules if not r.rhs]
+        return rules, repeat(depth + 1)
+
+    seen, trees = set(), []
+    for chain in _derivations(grammar, 1, expand, lambda *_: None, []):
+        built = []
+        while chain is not None:
+            _, rule, _, chain, _ = chain
+            built.append(DerivTree(rule.terminal, tuple(built.pop() for _ in rule.rhs)))
+        if built[0] not in seen:
+            seen.add(built[0])
+            trees.append(built[0])
+    return trees
+
+
+AMBIGUOUS_RTG = """\
+rtg 1 standard
+axiom: X;
+nonterminals: X, Y;
+terminals: a/0, b/0, f/1;
+sites {
+}
+rules {
+  X -> f(X);
+  X -> f(Y);
+  Y -> f(X);
+  Y -> f(Y);
+  X -> a;
+  Y -> b;
+}
+"""
+
+
+def test_enumeration_order_matches_rebuilding_each_derivation():
+    grammars = []
+    for seed in range(50):
+        tag = random_tag(seed)
+        for full in (to_fbrtg(tag), lc_fbrtg(tag)):
+            grammars += [reduce_grammar(full), reduce_grammar(erase_features(full))]
+    for grammar in grammars:
+        assert list(enumerate_trees(grammar, 4)) == _rebuilt_enumeration(grammar, 4)
+    ambiguous = parse_rtg(AMBIGUOUS_RTG)
+    for height in range(1, 11):
+        trees = list(enumerate_trees(ambiguous, height))
+        assert trees == _rebuilt_enumeration(ambiguous, height)
+        assert len(trees) == 2 * height - 1  # a, then f^k(a) and f^k(b) for 0 < k < height
 
 
 def test_standard_and_left_corner_forms_derive_the_same_trees():

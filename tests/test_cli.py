@@ -230,6 +230,21 @@ def test_enumerate_prints_deep_trees(tmp_path):
     assert lines[-1] == "a"
 
 
+def test_enumerate_prints_trees_deeper_than_the_recursion_limit(tmp_path):
+    path = tmp_path / "chain.rtg"
+    path.write_text(CHAIN_RTG)
+    env = dict(os.environ, PYTHONPATH=str(Path(tagrtg.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "tagrtg.cli", "enumerate", str(path), "--max-depth", "1500"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 1500
+    assert lines[0] == "f(" * 1499 + "a" + ")" * 1499
+    assert lines[-1] == "a"
+
+
 def test_translated_grammar_declares_an_axiom_no_node_carries(tmp_path, capsys):
     tag = tmp_path / "startless.tag"
     tag.write_text('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')
@@ -271,6 +286,14 @@ def test_translate_rejects_broken_grammar_files(tmp_path, capsys):
     bad.write_text("start: X;\ninitial n { (X kind=adj }\n")
     assert main(["translate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["x(y", "x,y"])
+def test_translate_rejects_tree_names_the_rtg_format_cannot_hold(tmp_path, capsys, name):
+    bad = tmp_path / "bad.tag"
+    bad.write_text(f'start: S;\ninitial {name} {{ (S (word "w")) }}\n')
+    assert main(["translate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: tree {name!r}: a tree name cannot")
 
 
 def test_stats_reports_sizes_and_growth(capsys):

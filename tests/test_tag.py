@@ -105,6 +105,21 @@ def test_save_and_load(tmp_path, fig2):
     assert load_tag(path) == fig2
 
 
+@pytest.mark.parametrize("term", ["a", "?x"])
+def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
+    tag = parse_tag(f'start: S;\ninitial t {{ (S (NP kind=subst top={term} ) (word "w")) }}')
+    path = tmp_path / "bare.tag"
+    save_tag(tag, path)
+    assert load_tag(path) == tag
+
+
+@pytest.mark.parametrize("char", list("=/,;&()[]{}"))
+def test_tree_names_cannot_hold_rtg_delimiters(char):
+    root = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
+    with pytest.raises(ValidationError, match="a tree name cannot contain"):
+        Tag("S", (ElemTree(f"x{char}y", False, root),))
+
+
 def test_manual_construction_matches_parse():
     tag = Tag(
         "X",
