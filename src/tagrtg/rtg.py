@@ -21,7 +21,6 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from tagrtg.features import (
-    IDENTITY,
     Avm,
     FeatureTerm,
     Substitution,
@@ -79,6 +78,15 @@ class FbRule:
     @property
     def rank(self) -> int:
         return len(self.rhs)
+
+    @functools.cached_property
+    def top_slots(self) -> Optional[tuple[None, ...]]:
+        """One top slot node (None) per slot when no position carries a
+        constraint, so firing the rule needs no unification; None when
+        one does.  Worked out on first use, once per rule."""
+        if self.lhs_feat or any(feat for _, feat in self.rhs):
+            return None
+        return (None,) * len(self.rhs)
 
     def __str__(self) -> str:
         left = _format_slot(self.lhs, self.lhs_feat)
@@ -186,8 +194,13 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     left-hand constraint is folded and unified with the leaf, then each
     slot constraint is folded in turn; variables shared between them are
     shared nodes.  Returns the slot nodes, or None on a clash.  Bindings
-    go on `trail`, and the caller undoes them, on failure too.
+    go on `trail`, and the caller undoes them, on failure too.  A rule
+    without any constraint returns its all-top `top_slots` at once and
+    leaves the kernel and the trail untouched.
     """
+    slots = rule.top_slots
+    if slots is not None:
+        return slots
     names: dict = {}
     lhs = fold(rule.lhs_feat, prefix, names, trail)
     if lhs is False:
@@ -219,7 +232,9 @@ def _derivations(grammar, root, expand, fail, trail, step=None):
     still on `trail`; step k made the bindings between its mark and the
     next.  Without `step` every value is None; with it, a step's value
     is `step(value of the previous step, rule)`, computed once, when the
-    step fires, and shared by every derivation that extends it.
+    step fires, and shared by every derivation that extends it.  Closing
+    the generator after it yields leaves that derivation's bindings on
+    `trail`, for the caller to read back.
     """
     leaf = (ROOT, root, grammar.axiom, None)
     rules, guides = expand(1, leaf)
@@ -351,13 +366,72 @@ class TraceStep:
         return line
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    accepted: bool
-    steps: tuple[TraceStep, ...]
-    env: Substitution
-    failure: Optional[str] = None
-    failure_position: Optional[str] = None
+    """The outcome of `accepts_detailed`, verdict first and read-only.
+
+    `accepted` and `failure_position` are set when the check returns.
+    `steps` and `env` are read back from the accepting derivation's step
+    chain and trail when either is first read, and `failure` is formatted
+    from the deepest clash when it is first read; each is computed once.
+    The result owns its trail: no later check touches the nodes on it.
+    A rejected tree has no steps and the identity environment; an
+    accepted one has no failure and no failure position.
+    """
+
+    __slots__ = ("_accepted", "_failure_position", "_failure", "_chain", "_trail", "_trace")
+
+    def __init__(self, accepted: bool, failure_position, failure, chain, trail: list):
+        self._accepted = accepted
+        self._failure_position = failure_position
+        self._failure = failure
+        self._chain = chain
+        self._trail = trail
+        self._trace = None
+
+    @property
+    def accepted(self) -> bool:
+        return self._accepted
+
+    @property
+    def failure_position(self) -> Optional[str]:
+        return self._failure_position
+
+    @property
+    def failure(self) -> Optional[str]:
+        failure = self._failure
+        if type(failure) is tuple:
+            rule, feat = failure
+            failure = f"cannot apply {rule}: constraint clash with {format_feature(feat)}"
+            self._failure = failure
+        return failure
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return self._read_back()[0]
+
+    @property
+    def env(self) -> Substitution:
+        return self._read_back()[1]
+
+    def _read_back(self) -> tuple[tuple[TraceStep, ...], Substitution]:
+        if self._trace is None:
+            trail = self._trail
+            env = bindings(trail)
+            # Walk the chain backwards: each step's bindings are the trail
+            # segment it added, read back before the segment is undone.
+            links = []
+            chain = self._chain
+            while chain is not None:
+                pos, rule, mark, chain, _ = chain
+                links.append((pos, rule, bindings(trail, mark)))
+                undo(trail, mark)
+            steps = tuple(
+                TraceStep(index, pos, rule, delta)
+                for index, (pos, rule, delta) in enumerate(reversed(links), start=1)
+            )
+            self._trace = (steps, env)
+            self._chain = self._trail = None
+        return self._trace
 
 
 def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
@@ -381,14 +455,17 @@ def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
 def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     """Check tree membership top-down, leftmost, with backtracking.
 
-    On success the trace lists every rule application with the bindings
-    it introduced.  On failure the diagnostics point at the deepest
-    position any candidate run reached before getting stuck.
+    The verdict comes back at once; the trace, the environment and the
+    clash message are worked out only when the result's `steps`, `env`
+    or `failure` is first read.  On success the trace lists every rule
+    application with the bindings it introduced.  On failure the
+    diagnostics point at the deepest position any candidate run reached
+    before getting stuck.
     """
     _check_alphabet(grammar, tree)
     by_shape = grammar.index.by_shape
     # The leaf of a failed rule is read back only when that failure
-    # becomes the deepest, and the message is formatted once, at the end.
+    # becomes the deepest; the result formats the message.
     deepest = {"index": 0, "pos": ROOT, "msg": "no rule applied"}
 
     def note(index, pos, msg):
@@ -408,32 +485,12 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             note(index, leaf[0], (rule, read_back(leaf[3])))
 
     trail: list = []
-    chain = next(_derivations(grammar, tree, expand, fail, trail), None)
+    derivations = _derivations(grammar, tree, expand, fail, trail)
+    chain = next(derivations, None)
+    derivations.close()
     if chain is None:
-        msg = deepest["msg"]
-        if isinstance(msg, tuple):
-            rule, feat = msg
-            msg = f"cannot apply {rule}: constraint clash with {format_feature(feat)}"
-        return CheckResult(
-            accepted=False,
-            steps=(),
-            env=IDENTITY,
-            failure=msg,
-            failure_position=deepest["pos"],
-        )
-    env = bindings(trail)
-    # Walk the chain backwards: each step's bindings are the trail
-    # segment it added, read back before the segment is undone.
-    links = []
-    while chain is not None:
-        pos, rule, mark, chain, _ = chain
-        links.append((pos, rule, bindings(trail, mark)))
-        undo(trail, mark)
-    steps = tuple(
-        TraceStep(index, pos, rule, delta)
-        for index, (pos, rule, delta) in enumerate(reversed(links), start=1)
-    )
-    return CheckResult(accepted=True, steps=steps, env=env)
+        return CheckResult(False, deepest["pos"], deepest["msg"], None, trail)
+    return CheckResult(True, None, None, chain, trail)
 
 
 def accepts(grammar: FbRtg, tree: DerivTree) -> bool:

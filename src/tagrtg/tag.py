@@ -87,7 +87,7 @@ class ValidationError(ValueError):
 
 
 # A tree name becomes a terminal of the `.rtg` file, whose lines these
-# characters delimit.
+# characters delimit; a leading '#' would make its site line a comment.
 _NAME_DELIMITERS = frozenset("=/,;&()[]{}")
 
 
@@ -119,6 +119,8 @@ class Tag:
             bad = [c for c in tree.name if c in _NAME_DELIMITERS]
             if bad:
                 raise ValidationError(f"{where}: a tree name cannot contain {bad[0]!r}")
+            if tree.name.startswith("#"):
+                raise ValidationError(f"{where}: a tree name cannot start with '#'")
             names.add(tree.name)
             feet = [n for n in tree.nodes() if n.kind is NodeKind.FOOT]
             if tree.auxiliary:

@@ -288,7 +288,7 @@ def test_translate_rejects_broken_grammar_files(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["x(y", "x,y"])
+@pytest.mark.parametrize("name", ["x(y", "x,y", "#x"])
 def test_translate_rejects_tree_names_the_rtg_format_cannot_hold(tmp_path, capsys, name):
     bad = tmp_path / "bad.tag"
     bad.write_text(f'start: S;\ninitial {name} {{ (S (word "w")) }}\n')

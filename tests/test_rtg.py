@@ -56,6 +56,24 @@ def test_derive_step_fails_on_clash():
     assert derive_step(rule, _node("[bot: [const: +]]"), "1", []) is None
 
 
+def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
+    bound = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[top: 3sg]"),), "e_A", ())
+    free = FbRule(
+        Nonterminal("NP", Flavor.SUBST), (), "cats", ((Nonterminal("NP", Flavor.ADJOIN), ()),)
+    )
+    leaf = _node("[top: ?x]")
+    trail = []
+    assert derive_step(bound, leaf, "1", trail) == ()
+    mark = len(trail)
+    monkeypatch.setattr("tagrtg.rtg.fold", _unexpected)
+    assert derive_step(free, leaf, "1.1", trail) == (None,)
+    assert len(trail) == mark > 0
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("called although nothing asked for it")
+
+
 def _rule_for(grammar, terminal):
     return next(r for r in grammar.rules if r.terminal == terminal)
 
@@ -98,6 +116,37 @@ def test_rejects_swapped_determiners_with_diagnostics(feature_grammar):
     assert not result.accepted
     assert result.failure_position == "1.1.1"
     assert "cannot apply" in result.failure
+
+
+def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr("tagrtg.rtg.bindings", _unexpected)
+        patch.setattr("tagrtg.rtg.format_feature", _unexpected)
+        good = accepts_detailed(feature_grammar, GOOD)
+        bad = accepts_detailed(feature_grammar, BAD)
+        assert (good.accepted, good.failure_position) == (True, None)
+        assert (bad.accepted, bad.failure_position) == (False, "1.1.1")
+    # Read after later checks on the same grammar, env before steps here
+    # and steps before env on `good`, each twice.
+    later = accepts_detailed(feature_grammar, GOOD)
+    env, steps = later.env, later.steps
+    assert [s.position for s in steps] == [
+        "ε", "1", "1.1", "1.1.1", "1.1.1.1", "2", "2.1", "3", "3.1", "3.1.1",
+    ]
+    assert env.get("ε.x") == Atom("3sg") and len(env.bindings) == 11
+    for _ in range(2):
+        assert good.steps == steps and good.env == env
+        assert [str(s) for s in good.steps] == [str(s) for s in steps]
+        assert str(good.env) == str(env)
+        assert good.failure is None
+        assert (bad.steps, bad.env.is_identity()) == ((), True)
+        assert bad.failure == (
+            "cannot apply NP_A [top: ?t, bot: [agr: ?x, const: -]] -> "
+            "the(NP_A [top: ?t, bot: [agr: ?x, const: +, def: +]]): "
+            "constraint clash with [top: [agr: ?ε.x], bot: [agr: 3sg, const: +]]"
+        )
+    with pytest.raises(AttributeError):
+        good.accepted = False
 
 
 def test_plain_grammar_accepts_both_skeletons(plain_grammar, feature_grammar):

@@ -120,6 +120,12 @@ def test_tree_names_cannot_hold_rtg_delimiters(char):
         Tag("S", (ElemTree(f"x{char}y", False, root),))
 
 
+def test_tree_names_cannot_start_an_rtg_comment():
+    root = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
+    with pytest.raises(ValidationError, match="a tree name cannot start with '#'"):
+        Tag("S", (ElemTree("#x", False, root),))
+
+
 def test_manual_construction_matches_parse():
     tag = Tag(
         "X",
