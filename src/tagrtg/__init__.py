@@ -16,7 +16,6 @@ from tagrtg.features import (
     FeatureSyntaxError,
     Substitution,
     Var,
-    alpha_equal,
     apply,
     compose,
     format_feature,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IDENTITY", "TOP", "Atom", "Avm", "FeatureSyntaxError", "Substitution", "Var",
-    "alpha_equal", "apply", "compose", "format_feature", "freshen", "parse_feature",
+    "apply", "compose", "format_feature", "freshen", "parse_feature",
     "unify", "unify_all", "variables",
     "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse",
     "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule", "Flavor",

@@ -12,10 +12,12 @@ other's representative, so every path that shares a node sees what
 later unifications add to it.  Each forwarding and each added arc goes
 on a trail, and `undo` pops the trail back to a mark, so a search
 backtracks without copying.  `read_back` turns nodes into terms for
-output.  The derivation engine unifies only on nodes, and so does
-reduction, which fires a grammar's own empty-adjunction rule on the
-trail.  `unify`, `unify_all`, `Substitution`, `apply`, `compose` and
-`freshen` are the term view.
+output, and `bindings` reads the variables a trail bound into a
+`Substitution`.  The derivation engine unifies only on nodes, and so
+does reduction, which fires a grammar's own empty-adjunction rule on
+the trail and reads the constraints it keeps back through the same
+nodes.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are the
+public term API, a view over the kernel that no library module uses.
 """
 
 from __future__ import annotations
@@ -123,12 +125,6 @@ class Substitution:
 
     def is_identity(self) -> bool:
         return not self.bindings
-
-    def is_idempotent(self) -> bool:
-        image_vars: set[str] = set()
-        for term in self.bindings.values():
-            image_vars |= variables(term)
-        return not (image_vars & set(self.bindings))
 
     def items(self) -> Iterator[tuple[str, FeatureTerm]]:
         return iter(sorted(self.bindings.items()))
@@ -352,15 +348,11 @@ def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substit
     no bindings; in particular variables never get bound to top.  A
     variable's binding is the unified term at every path it occupies.
     """
-    return _solve((a, b))
+    return unify_all((a, b))
 
 
 def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, Substitution]]:
     """Unify a conjunction left to right, starting from top."""
-    return _solve(conjuncts)
-
-
-def _solve(conjuncts):
     trail: list = []
     root = fold(conjuncts, None, {}, trail)
     if root is False:
@@ -371,22 +363,6 @@ def _solve(conjuncts):
 def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:
     """Rename every variable v to prefix.v; variable-free subterms are shared."""
     return _replace(term, lambda var: Var(prefix + "." + var.name))
-
-
-def alpha_equal(a: FeatureTerm, b: FeatureTerm) -> bool:
-    """Structural equality up to consistent variable renaming."""
-    return _canon(a, {}) == _canon(b, {})
-
-
-def _canon(term, mapping):
-    if isinstance(term, Var):
-        if term.name not in mapping:
-            mapping[term.name] = f"_{len(mapping)}"
-        return Var(mapping[term.name])
-    if isinstance(term, Avm):
-        # Sorted traversal so entry order cannot leak into the renaming.
-        return Avm((k, _canon(v, mapping)) for k, v in sorted(term.entries))
-    return term
 
 
 def format_feature(term: FeatureTerm) -> str:
@@ -411,16 +387,11 @@ _STRUCTURAL = set("[]:,?")
 
 def parse_feature(text: str) -> FeatureTerm:
     """Parse the textual syntax: atoms bare, variables ?-prefixed, AVMs bracketed."""
-    term, pos = _parse_term(text, 0)
+    term, pos = parse_feature_at(text, 0)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise FeatureSyntaxError("trailing input", pos)
     return term
-
-
-def parse_feature_at(text: str, pos: int) -> tuple[FeatureTerm, int]:
-    """Parse one feature term starting at `pos`, for embedding in other syntax."""
-    return _parse_term(text, pos)
 
 
 def _skip_ws(text, pos):
@@ -438,7 +409,8 @@ def _parse_name(text, pos):
     return text[start:pos], pos
 
 
-def _parse_term(text, pos):
+def parse_feature_at(text: str, pos: int) -> tuple[FeatureTerm, int]:
+    """Parse one feature term starting at `pos`, for embedding in other syntax."""
     pos = _skip_ws(text, pos)
     if pos >= len(text):
         raise FeatureSyntaxError("unexpected end of input", pos)
@@ -456,7 +428,7 @@ def _parse_term(text, pos):
             pos = _skip_ws(text, pos)
             if pos >= len(text) or text[pos] != ":":
                 raise FeatureSyntaxError("expected ':'", pos)
-            value, pos = _parse_term(text, pos + 1)
+            value, pos = parse_feature_at(text, pos + 1)
             entries.append((key, value))
             pos = _skip_ws(text, pos)
             if pos < len(text) and text[pos] == ",":

@@ -121,17 +121,11 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
     nonterminals = declared_nonterminals(
         tag, names, (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN)
     )
-    terminals = sorted(
-        [
-            (tree.name, tree.rank - (1 if not tree.auxiliary and tree.root_active else 0))
-            for tree in tag.trees
-        ]
-        + [(EPS_ADJOIN, 0), (EPS_SUBST, 1)]
-    )
+    terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0), (EPS_SUBST, 1)}
     return FbRtg(
         axiom=Nonterminal(tag.start, Flavor.SUBST),
         nonterminals=nonterminals,
-        terminals=tuple(terminals),
+        terminals=tuple(sorted(terminals)),
         rules=tuple(rules),
         form="lc",
         sites=site_table(tag),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterator, Optional
 
@@ -24,10 +24,10 @@ from tagrtg.features import (
     Avm,
     FeatureTerm,
     Substitution,
-    apply,
     bindings,
     fold,
     format_feature,
+    instantiate,
     is_top,
     read_back,
     undo,
@@ -60,12 +60,8 @@ Constraint = tuple[FeatureTerm, ...]
 Slot = tuple[Nonterminal, Constraint]
 
 
-def format_constraint(feat: Constraint) -> str:
-    return " & ".join(format_feature(c) for c in feat)
-
-
 def _format_slot(nt: Nonterminal, feat: Constraint) -> str:
-    return f"{nt} {format_constraint(feat)}" if feat else nt
+    return f"{nt} {' & '.join(map(format_feature, feat))}" if feat else nt
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,12 @@ class FbRule:
 class SiteInfo:
     """What the original elementary tree looked like around a terminal.
 
-    `slot_kinds` lists the site kinds of the active nodes in preorder,
-    so it keeps full tree arity even for rule forms that move or drop
-    slots.  The inverse transformation dispatches on it.
+    `slot_kinds` lists the site kinds of the active nodes in preorder.
+    A rule form may leave leading sites without a rule slot, as the
+    left-corner form does with the root of an initial tree: the rule's
+    slot i stands for slot_kinds[i - 1 + len(slot_kinds) - rank].
+    Reduction drops the kinds of the slots it drops.  The inverse
+    transformation dispatches on it.
     """
 
     tree_kind: str
@@ -509,24 +508,7 @@ def erase_features(grammar: FbRtg) -> FbRtg:
         if bare not in seen:
             seen.add(bare)
             rules.append(bare)
-    return FbRtg(
-        axiom=grammar.axiom,
-        nonterminals=grammar.nonterminals,
-        terminals=grammar.terminals,
-        rules=tuple(rules),
-        form=grammar.form,
-        sites=grammar.sites,
-    )
-
-
-def _slot_offset(grammar: FbRtg, terminal: str) -> int:
-    """Rule slot i corresponds to slot_kinds[i - 1 + offset]."""
-    info = grammar.index.sites.get(terminal)
-    if info is None:
-        return 0
-    if grammar.form == "lc" and info.tree_kind == "initial" and info.root_active:
-        return 1
-    return 0
+    return replace(grammar, rules=tuple(rules))
 
 
 def _erasable_positions(
@@ -567,8 +549,9 @@ def _drop_slots(
 
     Each dropped slot's constraint is folded into feature nodes, with
     variables shared across the rule, and its nonterminal's own
-    empty-adjunction rule fires there; the bindings this makes are
-    applied to what the rule keeps.
+    empty-adjunction rule fires there.  If that bound anything, what
+    the rule keeps is instantiated over the same variable nodes and read
+    back, so it shows the bindings.
     """
     names: dict = {}
     trail: list = []
@@ -577,10 +560,10 @@ def _drop_slots(
             node = fold(feat, None, names, trail)
             if node is False or derive_step(epsilon[nt], node, str(i), trail) is None:
                 return None
-    sigma = bindings(trail)
 
     def kept(feat: Constraint) -> Constraint:
-        return tuple(c for c in (apply(sigma, c) for c in feat) if not is_top(c))
+        terms = (read_back(instantiate(c, None, names)) for c in feat) if trail else feat
+        return tuple(c for c in terms if not is_top(c))
 
     rhs = tuple(
         (nt, kept(feat)) for i, (nt, feat) in enumerate(rule.rhs, start=1) if i not in drop
@@ -588,30 +571,30 @@ def _drop_slots(
     return FbRule(rule.lhs, kept(rule.lhs_feat), rule.terminal, rhs)
 
 
-def _eliminate_forced_slots(grammar: FbRtg, rules: list[FbRule]):
-    terminals = dict(grammar.terminals)
-    sites = dict(grammar.sites)
+def _eliminate_forced_slots(rules: list[FbRule], sites: dict[str, SiteInfo]) -> list[FbRule]:
+    """Drop forced slots until none is left, and their kinds from `sites`.
+
+    A terminal's leading site kinds beyond its rank have no rule slot.
+    """
     while True:
         erasable, epsilon = _erasable_positions(rules)
         if not erasable:
-            return rules, terminals, sites
+            return rules
+        ranks = {rule.terminal: rule.rank for rule in rules}
+        for terminal, drop in erasable.items():
+            info = sites.get(terminal)
+            if info is not None:
+                first = 1 + ranks[terminal] - len(info.slot_kinds)
+                kinds = tuple(
+                    kind for i, kind in enumerate(info.slot_kinds, start=first) if i not in drop
+                )
+                sites[terminal] = SiteInfo(info.tree_kind, info.root_active, kinds)
         rewritten: list[FbRule] = []
         for rule in rules:
             drop = erasable.get(rule.terminal)
             updated = _drop_slots(rule, drop, epsilon) if drop else rule
             if updated is not None:
                 rewritten.append(updated)
-        for terminal, drop in erasable.items():
-            terminals[terminal] -= len(drop)
-            if terminal in sites:
-                info = sites[terminal]
-                offset = _slot_offset(grammar, terminal)
-                kinds = tuple(
-                    kind
-                    for i, kind in enumerate(info.slot_kinds)
-                    if i - offset + 1 not in drop
-                )
-                sites[terminal] = SiteInfo(info.tree_kind, info.root_active, kinds)
         rules = rewritten
 
 
@@ -673,30 +656,34 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     Feature analysis stays local to single rules, so pruning works on
     the erased skeleton and the result can still contain rules no
     derivation satisfies.  Substitution partners of surviving
-    adjunction nonterminals stay declared.
+    adjunction nonterminals stay declared.  The terminals are those the
+    remaining rules use, at the ranks they use them with, and a
+    terminal's site entry loses the kinds of its dropped slots.
     """
-    rules, terminals, sites = _eliminate_forced_slots(grammar, list(grammar.rules))
+    sites = dict(grammar.sites)
+    rules = _eliminate_forced_slots(list(grammar.rules), sites)
     productive = _productive(rules)
     rules = [r for r in rules if all(nt in productive for nt, _ in r.rhs)]
     order = _dfs_order(grammar.axiom, rules)
-    reachable = set(order)
-    rules = [r for r in rules if r.lhs in reachable]
+    ranked = {nt: i for i, nt in enumerate(order)}
+    rules = [r for r in rules if r.lhs in ranked]
 
-    nts = [nt for nt in order]
+    nts = list(order)
+    declared = set(grammar.nonterminals)
+    listed = set(order)
     for nt in order:
         if nt.endswith(Flavor.ADJOIN.value):
             partner = Nonterminal(nt.removesuffix(Flavor.ADJOIN.value), Flavor.SUBST)
-            if partner in grammar.nonterminals and partner not in nts:
+            if partner in declared and partner not in listed:
+                listed.add(partner)
                 nts.append(partner)
-    ranked = {nt: i for i, nt in enumerate(order)}
     # Stable sort keeps the original relative order inside each group.
-    ordered_rules = sorted(rules, key=lambda r: ranked[r.lhs])
-    used_terminals = {r.terminal for r in ordered_rules}
-    return FbRtg(
-        axiom=grammar.axiom,
+    rules.sort(key=lambda r: ranked[r.lhs])
+    used = {r.terminal for r in rules}
+    return replace(
+        grammar,
         nonterminals=tuple(nts),
-        terminals=tuple(sorted((t, k) for t, k in terminals.items() if t in used_terminals)),
-        rules=tuple(ordered_rules),
-        form=grammar.form,
-        sites=tuple(sorted((t, i) for t, i in sites.items() if t in used_terminals)),
+        terminals=tuple(sorted({(r.terminal, r.rank) for r in rules})),
+        rules=tuple(rules),
+        sites=tuple(sorted((t, i) for t, i in sites.items() if t in used)),
     )

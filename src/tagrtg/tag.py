@@ -48,10 +48,12 @@ class TreeNode:
         return self.kind in ACTIVE_KINDS
 
     def nodes(self) -> Iterator[TreeNode]:
-        """Preorder traversal, root first."""
-        yield self
-        for child in self.children:
-            yield from child.nodes()
+        """Preorder traversal, root first, over an explicit stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,6 @@ class ElemTree:
     def active_nodes(self) -> tuple[TreeNode, ...]:
         """The sites in preorder; for trees with an active root it comes first."""
         return tuple(node for node in self.nodes() if node.is_active)
-
-    @property
-    def rank(self) -> int:
-        return len(self.active_nodes())
 
     @property
     def root_active(self) -> bool:

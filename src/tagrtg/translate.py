@@ -153,13 +153,11 @@ def to_fbrtg(tag: Tag) -> FbRtg:
     rules = tuple(tree_rule(tree) for tree in tag.trees) + tuple(
         closure_rule(name) for name in names
     )
-    terminals = sorted(
-        [(tree.name, tree.rank) for tree in tag.trees] + [(EPS_ADJOIN, 0)]
-    )
+    terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0)}
     return FbRtg(
         axiom=Nonterminal(tag.start, Flavor.SUBST),
         nonterminals=nonterminals,
-        terminals=tuple(terminals),
+        terminals=tuple(sorted(terminals)),
         rules=rules,
         form="standard",
         sites=site_table(tag),

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from tagrtg.features import Atom, bindings, instantiate, parse_feature
+from tagrtg.leftcorner import lc_fbrtg, lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
@@ -26,6 +27,8 @@ from tagrtg.rtg import (
     reduce_grammar,
 )
 from tagrtg.rtg_io import format_rtg, parse_rtg
+from tagrtg.tag import parse_tag
+from tagrtg.translate import to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
@@ -337,6 +340,39 @@ def test_reduce_keeps_a_slot_with_two_empty_rules():
     assert dict(reduced.terminals)["s"] == 1
     assert [r.rhs for r in reduced.rules if r.terminal == "s"] == [grammar.rules[0].rhs]
     assert accepts(reduced, parse_tree("s(e_A)"))
+
+
+# S_A and A_A only derive e_A, so reduction drops both slots of t in the
+# standard form.  The left-corner rule for t has no root slot, so there
+# it drops only the A_A slot, whose site is the third, not the second.
+ROOT_SLOT_TAG = """\
+start: S;
+initial t { (S kind=adj (B kind=subst) (A kind=adj (word "a"))) }
+initial u { (B (word "b")) }
+"""
+
+
+def test_reduce_drops_the_site_kinds_of_the_slots_it_drops():
+    tag = parse_tag(ROOT_SLOT_TAG)
+    for build, kinds in ((to_fbrtg, ("subst",)), (lc_fbrtg, ("adj", "subst"))):
+        reduced = reduce_grammar(build(tag))
+        assert dict(reduced.terminals)["t"] == 1
+        assert reduced.index.sites["t"].slot_kinds == kinds
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AlphabetError,
+    reason="reduction drops forced slots in each form on its own, "
+    "so lc_inverse does not map the reduced LC form onto the reduced standard form",
+)
+def test_lc_inverse_maps_reduced_lc_trees_onto_the_reduced_standard_form():
+    tag = parse_tag(ROOT_SLOT_TAG)
+    standard, lc = reduce_grammar(to_fbrtg(tag)), reduce_grammar(lc_fbrtg(tag))
+    tree = parse_tree("e_S(t(u))")
+    assert accepts(lc, tree)
+    # The inverse is t(e_A, u), but the reduced standard t has rank 1.
+    assert accepts(standard, lc_inverse(lc, tree))
 
 
 def test_reduce_prunes_and_orders():

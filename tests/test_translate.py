@@ -7,7 +7,9 @@ one rule per elementary tree, one empty-adjunction rule per symbol, so
 
 import pytest
 
+from tagrtg.leftcorner import lc_fbrtg
 from tagrtg.rtg import Flavor, Nonterminal, erase_features, reduce_grammar
+from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
 from tagrtg.features import parse_feature
 from tagrtg.translate import site_table, symbols, to_fbrtg
@@ -124,3 +126,28 @@ def test_translation_validates_its_input():
     root = TreeNode("VP", kind=NodeKind.ADJUNCTION, children=(foot,))
     with pytest.raises(ValueError):
         Tag("S", (ElemTree("w", True, root),))
+
+
+def test_elementary_trees_deeper_than_the_recursion_limit():
+    # S over a 5,000-deep X spine whose every other node hosts
+    # adjunction, with an NP substitution site at the bottom.
+    node = TreeNode("NP", kind=NodeKind.SUBSTITUTION)
+    for depth in range(5000):
+        kind = NodeKind.ADJUNCTION if depth % 2 else NodeKind.INTERNAL
+        node = TreeNode("X", kind=kind, children=(node,))
+    spine = TreeNode("S", children=(node, _anchor("w")))
+    adjunct = TreeNode(
+        "X", kind=NodeKind.ADJUNCTION, children=(_anchor("x"), TreeNode("X", kind=NodeKind.FOOT))
+    )
+    tag = Tag(
+        "S",
+        (
+            ElemTree("t", False, spine),
+            ElemTree("n", False, TreeNode("NP", children=(_anchor("n"),))),
+            ElemTree("a", True, adjunct),
+        ),
+    )
+    for build in (to_fbrtg, lc_fbrtg):
+        grammar = reduce_grammar(build(tag))
+        assert dict(grammar.terminals)["t"] == 2501
+        assert parse_rtg(format_rtg(grammar)) == grammar
