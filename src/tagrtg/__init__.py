@@ -1,11 +1,12 @@
 """Derivation-tree grammars for feature-based tree adjoining grammars.
 
 The pipeline: parse a TAG (`tag`), translate it into a regular tree
-grammar over its derivation trees with or without feature constraints
-(`translate`), optionally apply the left-corner transformation and its
-inverse (`leftcorner`), then enumerate, check or reduce (`rtg`) and
-serialize (`rtg_io`).  `features` holds the unification kernel and
-`trees` the derivation-tree type shared throughout.
+grammar over its derivation trees, in the standard or the left-corner
+form and with or without feature constraints (`translate`), map
+derivation trees between the two forms (`leftcorner`), then enumerate,
+check or reduce (`rtg`) and serialize (`rtg_io`).  `features` holds the
+unification kernel and `trees` the derivation-tree type shared
+throughout.
 """
 
 from tagrtg.features import (
@@ -25,13 +26,7 @@ from tagrtg.features import (
     unify_all,
     variables,
 )
-from tagrtg.leftcorner import (
-    MalformedLcTree,
-    RootNotAdjoinable,
-    lc_fbrtg,
-    lc_image,
-    lc_inverse,
-)
+from tagrtg.leftcorner import MalformedLcTree, lc_image, lc_inverse
 from tagrtg.rtg import (
     EPS_ADJOIN,
     EPS_SUBST,
@@ -63,7 +58,7 @@ from tagrtg.tag import (
     parse_tag,
     save_tag,
 )
-from tagrtg.translate import to_fbrtg
+from tagrtg.translate import RootNotAdjoinable, lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, TreeSyntaxError, format_tree, parse_tree, to_dot
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from tagrtg.features import FeatureSyntaxError, is_top
-from tagrtg.leftcorner import MalformedLcTree, RootNotAdjoinable, lc_fbrtg, lc_inverse
+from tagrtg.leftcorner import MalformedLcTree, lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     GrammarError,
@@ -23,7 +23,7 @@ from tagrtg.rtg import (
 )
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg
 from tagrtg.tag import NodeKind, ParseError, Tag, ValidationError, load_tag
-from tagrtg.translate import symbols, to_fbrtg
+from tagrtg.translate import lc_fbrtg, symbols, to_fbrtg
 from tagrtg.trees import TreeSyntaxError, parse_tree, to_dot
 
 _USER_ERRORS = (
@@ -33,7 +33,6 @@ _USER_ERRORS = (
     TreeSyntaxError,
     FeatureSyntaxError,
     GrammarError,
-    RootNotAdjoinable,
     MalformedLcTree,
     OSError,
 )
@@ -124,7 +123,7 @@ def cmd_stats(args) -> int:
           f" {len(standard.nonterminals)} nonterminals")
     try:
         lc = lc_fbrtg(tag)
-    except (RootNotAdjoinable, GrammarError) as err:
+    except GrammarError as err:
         print(f"left-corner translation: unavailable ({err})")
     else:
         print(f"left-corner translation: {len(lc.rules)} rules,"

@@ -1,138 +1,26 @@
-"""Left-corner transformation of derivation-tree grammars.
+"""The left-corner maps between derivation trees of the two forms.
 
-Root adjunctions are the predictive bottleneck: reading a derivation
-top-down, the tree standing at a substitution site stays unknown until
-the whole adjunction stack above its root has been picked.  The
-transformation reverses that recursion.  A substitution site first
-rewrites to e_S, then the root adjunctions unfold outermost first
-through plain-flavored nonterminals, and the initial tree arrives
-last, with its root slot gone.  Adjunctions elsewhere keep their
-original rules.
-
-The feature swap mirrors the reversal: a root-adjunction rule now
-carries the adjunct's root pair on its left-hand side and hands the
-foot pair to the chain below, so constraints surface as early as the
-rewrites do.
+`lc_inverse` maps a derivation tree of the left-corner (LC) grammar
+onto the standard one and `lc_image` maps back.  Both read only the
+site table, and both walk a tree site by site: adjunction sites keep
+their trees, while at a substitution site the LC form's chain of root
+adjunctions, which ends in the initial tree that landed there, trades
+places with the standard form's initial tree, whose root slot holds
+the stack of adjunctions.  The grammars themselves are built in
+`translate`.
 """
 
 from __future__ import annotations
 
-from tagrtg.features import TOP, Avm, Var
-from tagrtg.rtg import (
-    EPS_ADJOIN,
-    EPS_SUBST,
-    FbRtg,
-    FbRule,
-    Flavor,
-    GrammarError,
-    Nonterminal,
-    SiteInfo,
-)
-from tagrtg.tag import Tag
-from tagrtg.translate import (
-    INTERFACE_VAR,
-    _below_root,
-    _constraint,
-    _pair,
-    closure_rule,
-    declared_nonterminals,
-    fresh_name,
-    site_table,
-    symbols,
-    tree_rule,
-    tree_variables,
-)
+from tagrtg.rtg import EPS_ADJOIN, EPS_SUBST, FbRtg, GrammarError, SiteInfo
+# Re-exported from their former home: perfbench/tracing.py looks
+# lc_fbrtg up in this module.
+from tagrtg.translate import RootNotAdjoinable, lc_fbrtg  # noqa: F401
 from tagrtg.trees import DerivTree
-
-
-class RootNotAdjoinable(ValueError):
-    """An auxiliary tree whose root hosts no adjunction cannot take
-    part in the reversed recursion."""
 
 
 class MalformedLcTree(ValueError):
     pass
-
-
-def _epsilon_subst_rule(symbol: str) -> FbRule:
-    t = Var(INTERFACE_VAR)
-    child = (Nonterminal(symbol), (Avm((("top", t), ("bot", t))),))
-    return FbRule(
-        Nonterminal(symbol, Flavor.SUBST),
-        (Avm((("top", t),)),),
-        EPS_SUBST,
-        (child,),
-    )
-
-
-def lc_fbrtg(tag: Tag) -> FbRtg:
-    """The left-corner transformed feature grammar of a TAG.
-
-    Linear in the input; at most twice the rules of the standard
-    translation because every auxiliary contributes both a chain rule
-    and its original rule.  A label names a plain nonterminal here, so
-    no label may be another label followed by a flavor suffix.
-    """
-    for tree in tag.auxiliaries:
-        if not tree.root_active:
-            raise RootNotAdjoinable(
-                f"auxiliary tree {tree.name!r} has an inactive root"
-            )
-    names = symbols(tag)
-    labels = set(names)
-    for name in names:
-        for flavor in (Flavor.SUBST, Flavor.ADJOIN):
-            clash = Nonterminal(name, flavor)
-            if clash in labels:
-                raise GrammarError(
-                    f"labels {name!r} and {clash!r} both name the"
-                    f" left-corner nonterminal {clash}"
-                )
-    rules = [_epsilon_subst_rule(name) for name in names]
-    for tree in tag.initials:
-        if not tree.root_active:
-            rules.append(tree_rule(tree))
-            continue
-        rules.append(
-            FbRule(
-                Nonterminal(tree.root.label),
-                _constraint(_pair(tree.root.top, tree.root.bot)),
-                tree.name,
-                _below_root(tree),
-            )
-        )
-    for tree in tag.auxiliaries:
-        t = fresh_name(INTERFACE_VAR, tree_variables(tree))
-        chain = (
-            Nonterminal(tree.root.label),
-            _constraint(_pair(Var(t), tree.foot().bot)),
-        )
-        rules.append(
-            FbRule(
-                Nonterminal(tree.root.label),
-                _constraint(_pair(Var(t), tree.root.bot), _pair(tree.root.top, TOP)),
-                tree.name,
-                (chain,) + _below_root(tree),
-            )
-        )
-    rules.extend(tree_rule(tree) for tree in tag.auxiliaries)
-    rules.extend(closure_rule(name) for name in names)
-
-    nonterminals = declared_nonterminals(
-        tag, names, (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN)
-    )
-    terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0), (EPS_SUBST, 1)}
-    return FbRtg(
-        axiom=Nonterminal(tag.start, Flavor.SUBST),
-        nonterminals=nonterminals,
-        terminals=tuple(sorted(terminals)),
-        rules=tuple(rules),
-        form="lc",
-        sites=site_table(tag),
-    )
-
-
-# ------------------------------------------------------------- inversion
 
 
 def _site(sites: dict, label: str, what: str) -> SiteInfo:

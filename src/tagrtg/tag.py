@@ -273,23 +273,30 @@ def format_tag(tag: Tag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_node(node: TreeNode) -> str:
-    if node.kind is NodeKind.ANCHOR:
-        return f'(word "{node.label}")'
-    parts = [node.label]
-    last = None
-    if node.kind is not NodeKind.INTERNAL:
-        parts.append(f"kind={node.kind.value}")
-    if not is_top(node.top):
-        parts.append(f"top={format_feature(node.top)}")
-        last = node.top
-    if not is_top(node.bot):
-        parts.append(f"bot={format_feature(node.bot)}")
-        last = node.bot
-    parts.extend(_format_node(child) for child in node.children)
-    if last is not None and not node.children and not isinstance(last, Avm):
-        parts.append("")  # a bare atom or variable would read on into the ')'
-    return "(" + " ".join(parts) + ")"
+def _format_node(root: TreeNode) -> str:
+    parts = []
+    stack: list = [root]  # nodes still to print, and the text that closes them
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif node.kind is NodeKind.ANCHOR:
+            parts.append(f'(word "{node.label}")')
+        else:
+            parts.append("(" + node.label)
+            if node.kind is not NodeKind.INTERNAL:
+                parts.append(f" kind={node.kind.value}")
+            last = None
+            for name, value in (("top", node.top), ("bot", node.bot)):
+                if not is_top(value):
+                    parts.append(f" {name}={format_feature(value)}")
+                    last = value
+            # A bare atom or variable would read on into the ')'.
+            bare = last is not None and not node.children and not isinstance(last, Avm)
+            stack.append(" )" if bare else ")")
+            for child in reversed(node.children):
+                stack += (child, " ")
+    return "".join(parts)
 
 
 def load_tag(path: str | Path) -> Tag:

@@ -12,6 +12,18 @@ slot; auxiliary interfaces add the foot's bottom structure.  An
 adjunction chain therefore percolates its top feature upward while the
 bottom features meet at the empty-adjunction rule, which unifies top
 with bottom through its shared variable.
+
+The left-corner (LC) form reverses the recursion through root
+adjunctions, the predictive bottleneck: reading a derivation top-down,
+the tree standing at a substitution site stays unknown until the whole
+adjunction stack above its root has been picked.  A substitution site
+first rewrites to e_S, then the root adjunctions unfold outermost first
+through plain-flavored nonterminals, and the initial tree arrives last,
+with its root slot gone.  Adjunctions elsewhere keep their original
+rules.  The feature swap mirrors the reversal: a root-adjunction rule
+carries the adjunct's root pair on its left-hand side and hands the
+foot pair to the chain below, so constraints surface as early as the
+rewrites do.
 """
 
 from __future__ import annotations
@@ -19,10 +31,12 @@ from __future__ import annotations
 from tagrtg.features import TOP, Avm, Var, is_top, variables
 from tagrtg.rtg import (
     EPS_ADJOIN,
+    EPS_SUBST,
     Constraint,
     FbRtg,
     FbRule,
     Flavor,
+    GrammarError,
     Nonterminal,
     SiteInfo,
 )
@@ -30,6 +44,11 @@ from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
 
 INTERFACE_VAR = "t"
 CLOSURE_VAR = "v"
+
+
+class RootNotAdjoinable(GrammarError):
+    """An auxiliary tree whose root hosts no adjunction cannot take
+    part in the reversed recursion."""
 
 
 def symbols(tag: Tag) -> tuple[str, ...]:
@@ -62,28 +81,17 @@ def node_nt(node: TreeNode) -> Nonterminal:
     return Nonterminal(node.label, flavor)
 
 
-def fresh_name(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    count = 0
-    while f"{base}{count}" in used:
-        count += 1
-    return f"{base}{count}"
-
-
-def declared_nonterminals(tag: Tag, names, flavors) -> tuple[Nonterminal, ...]:
-    """Each label in each flavor, then the axiom if no node carries the start label."""
-    declared = tuple(Nonterminal(name, flavor) for flavor in flavors for name in names)
-    axiom = Nonterminal(tag.start, Flavor.SUBST)
-    return declared if axiom in declared else declared + (axiom,)
-
-
-def tree_variables(tree: ElemTree) -> set[str]:
+def interface_var(tree: ElemTree) -> str:
+    """INTERFACE_VAR, or the first numbered variant the tree does not use."""
     used: set[str] = set()
     for node in tree.root.nodes():
         used |= variables(node.top)
         used |= variables(node.bot)
-    return used
+    name, count = INTERFACE_VAR, 0
+    while name in used:
+        name = f"{INTERFACE_VAR}{count}"
+        count += 1
+    return name
 
 
 def _pair(top, bot) -> Avm:
@@ -109,37 +117,63 @@ def _below_root(tree: ElemTree) -> tuple:
     )
 
 
-def interface(tree: ElemTree, t: str) -> Constraint:
-    """The left-hand feature pair of a tree's rule.
+def tree_rule(tree: ElemTree) -> FbRule:
+    """The rule of one elementary tree.
 
-    The interface variable copies the root's top structure outward; it
-    is dropped when the root hosts no adjunction, because then nothing
-    on the right-hand side shares it.  Auxiliary interfaces also expose
-    the foot's bottom structure, which ends up unified with whatever
-    sits below the adjunction.
+    Its left-hand feature pair is the tree's interface.  The interface
+    variable copies the root's top structure outward; it is dropped
+    when the root hosts no adjunction, because then nothing on the
+    right-hand side shares it.  Auxiliary interfaces also expose the
+    foot's bottom structure, which ends up unified with whatever sits
+    below the adjunction.
     """
+    t = interface_var(tree)
+    lhs_flavor = Flavor.ADJOIN if tree.auxiliary else Flavor.SUBST
     root = tree.root
     foot_bot = tree.foot().bot if tree.auxiliary else TOP
     first = _pair(Var(t) if tree.root_active else TOP, foot_bot)
-    return _constraint(first, _pair(root.top, TOP))
-
-
-def tree_rule(tree: ElemTree) -> FbRule:
-    t = fresh_name(INTERFACE_VAR, tree_variables(tree))
-    lhs_flavor = Flavor.ADJOIN if tree.auxiliary else Flavor.SUBST
-    root = tree.root
+    interface = _constraint(first, _pair(root.top, TOP))
     slots = _below_root(tree)
     if tree.root_active:
         # The root slot shares the interface variable on top and keeps
         # the root's own bottom.
         slots = ((node_nt(root), _constraint(_pair(Var(t), root.bot))),) + slots
-    return FbRule(Nonterminal(root.label, lhs_flavor), interface(tree, t), tree.name, slots)
+    return FbRule(Nonterminal(root.label, lhs_flavor), interface, tree.name, slots)
 
 
 def closure_rule(symbol: str) -> FbRule:
     shared = Var(CLOSURE_VAR)
     feat = (Avm((("top", shared), ("bot", shared))),)
     return FbRule(Nonterminal(symbol, Flavor.ADJOIN), feat, EPS_ADJOIN, ())
+
+
+def _epsilon_subst_rule(symbol: str) -> FbRule:
+    t = Var(INTERFACE_VAR)
+    child = (Nonterminal(symbol), (Avm((("top", t), ("bot", t))),))
+    return FbRule(Nonterminal(symbol, Flavor.SUBST), (Avm((("top", t),)),), EPS_SUBST, (child,))
+
+
+def _grammar(tag: Tag, names: tuple[str, ...], rules, form: str) -> FbRtg:
+    """Assemble a translation: each label in each flavor of the form,
+    then the axiom if no node carries the start label; the terminals
+    the rules use plus the ε terminals; the site table of the TAG."""
+    lc = form == "lc"
+    flavors = (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN) if lc else (Flavor.SUBST, Flavor.ADJOIN)
+    nonterminals = tuple(Nonterminal(name, flavor) for flavor in flavors for name in names)
+    axiom = Nonterminal(tag.start, Flavor.SUBST)
+    if axiom not in nonterminals:
+        nonterminals += (axiom,)
+    terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0)}
+    if lc:
+        terminals.add((EPS_SUBST, 1))
+    return FbRtg(
+        axiom=axiom,
+        nonterminals=nonterminals,
+        terminals=tuple(sorted(terminals)),
+        rules=tuple(rules),
+        form=form,
+        sites=site_table(tag),
+    )
 
 
 def to_fbrtg(tag: Tag) -> FbRtg:
@@ -149,16 +183,55 @@ def to_fbrtg(tag: Tag) -> FbRtg:
     symbol; the whole construction is linear in the size of the input.
     """
     names = symbols(tag)
-    nonterminals = declared_nonterminals(tag, names, (Flavor.SUBST, Flavor.ADJOIN))
-    rules = tuple(tree_rule(tree) for tree in tag.trees) + tuple(
-        closure_rule(name) for name in names
-    )
-    terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0)}
-    return FbRtg(
-        axiom=Nonterminal(tag.start, Flavor.SUBST),
-        nonterminals=nonterminals,
-        terminals=tuple(sorted(terminals)),
-        rules=rules,
-        form="standard",
-        sites=site_table(tag),
-    )
+    rules = [tree_rule(tree) for tree in tag.trees] + [closure_rule(name) for name in names]
+    return _grammar(tag, names, rules, "standard")
+
+
+def lc_fbrtg(tag: Tag) -> FbRtg:
+    """The left-corner transformed feature grammar of a TAG.
+
+    Linear in the input; at most twice the rules of the standard
+    translation because every auxiliary contributes both a chain rule
+    and its original rule.  A label names a plain nonterminal here, so
+    no label may be another label followed by a flavor suffix.
+    """
+    for tree in tag.auxiliaries:
+        if not tree.root_active:
+            raise RootNotAdjoinable(f"auxiliary tree {tree.name!r} has an inactive root")
+    names = symbols(tag)
+    labels = set(names)
+    for name in names:
+        for flavor in (Flavor.SUBST, Flavor.ADJOIN):
+            clash = Nonterminal(name, flavor)
+            if clash in labels:
+                raise GrammarError(
+                    f"labels {name!r} and {clash!r} both name the"
+                    f" left-corner nonterminal {clash}"
+                )
+    rules = [_epsilon_subst_rule(name) for name in names]
+    for tree in tag.initials:
+        if not tree.root_active:
+            rules.append(tree_rule(tree))
+            continue
+        rules.append(
+            FbRule(
+                Nonterminal(tree.root.label),
+                _constraint(_pair(tree.root.top, tree.root.bot)),
+                tree.name,
+                _below_root(tree),
+            )
+        )
+    for tree in tag.auxiliaries:
+        t = Var(interface_var(tree))
+        chain = (Nonterminal(tree.root.label), _constraint(_pair(t, tree.foot().bot)))
+        rules.append(
+            FbRule(
+                Nonterminal(tree.root.label),
+                _constraint(_pair(t, tree.root.bot), _pair(tree.root.top, TOP)),
+                tree.name,
+                (chain,) + _below_root(tree),
+            )
+        )
+    rules.extend(tree_rule(tree) for tree in tag.auxiliaries)
+    rules.extend(closure_rule(name) for name in names)
+    return _grammar(tag, names, rules, "lc")

@@ -111,6 +111,18 @@ def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
     assert load_tag(path) == tag
 
 
+def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
+    # A 5,000-deep chain ending in a bare atom, which keeps its space
+    # before the ')'.  parse_tag still recurses, so no round trip.
+    node = TreeNode("NP", NodeKind.SUBSTITUTION, top=Atom("a"))
+    for _ in range(5000):
+        node = TreeNode("X", children=(node,))
+    root = TreeNode("S", children=(node, TreeNode("w", NodeKind.ANCHOR)))
+    text = format_tag(Tag("S", (ElemTree("t", False, root),)))
+    chain = "(X " * 5000 + "(NP kind=subst top=a )" + ")" * 5000
+    assert text == f'start: S;\ninitial t {{ (S {chain} (word "w")) }}\n'
+
+
 @pytest.mark.parametrize("char", list("=/,;&()[]{}"))
 def test_tree_names_cannot_hold_rtg_delimiters(char):
     root = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
