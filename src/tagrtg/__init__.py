@@ -17,13 +17,8 @@ from tagrtg.features import (
     FeatureSyntaxError,
     Substitution,
     Var,
-    apply,
-    compose,
     format_feature,
-    freshen,
     parse_feature,
-    unify,
-    unify_all,
     variables,
 )
 from tagrtg.leftcorner import MalformedLcTree, lc_image, lc_inverse
@@ -65,8 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IDENTITY", "TOP", "Atom", "Avm", "FeatureSyntaxError", "Substitution", "Var",
-    "apply", "compose", "format_feature", "freshen", "parse_feature",
-    "unify", "unify_all", "variables",
+    "format_feature", "parse_feature", "variables",
     "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse",
     "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule", "Flavor",
     "GrammarError", "Nonterminal", "NonterminalMismatch", "SiteInfo",

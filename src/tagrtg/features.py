@@ -16,8 +16,10 @@ output, and `bindings` reads the variables a trail bound into a
 `Substitution`.  The derivation engine unifies only on nodes, and so
 does reduction, which fires a grammar's own empty-adjunction rule on
 the trail and reads the constraints it keeps back through the same
-nodes.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are the
-public term API, a view over the kernel that no library module uses.
+nodes.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are a
+term view on the same kernel that no library module calls; they stay
+here, off the package surface, for the unification law tests and the
+benchmark's tracer, which looks them up in this module by name.
 """
 
 from __future__ import annotations
@@ -146,53 +148,6 @@ def variables(term: FeatureTerm) -> set[str]:
             out |= variables(value)
         return out
     return set()
-
-
-def apply(subst: Substitution, term: FeatureTerm) -> FeatureTerm:
-    """Replace bound variables in `term`; unbound variables stay.
-
-    Subterms without a bound variable are shared, not copied: the result
-    is `term` itself when nothing in it changed.
-    """
-    if not subst.bindings:
-        return term
-    return _replace(term, lambda var: subst.bindings.get(var.name, var))
-
-
-def _replace(term: FeatureTerm, image) -> FeatureTerm:
-    """`term` with each variable v replaced by image(v), sharing unchanged AVMs."""
-    if isinstance(term, Var):
-        return image(term)
-    if isinstance(term, Avm):
-        changed = False
-        entries = []
-        for key, value in term.entries:
-            new = _replace(value, image)
-            changed = changed or new is not value
-            entries.append((key, new))
-        return Avm._rebuilt(entries) if changed else term
-    return term
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """Substitution with apply(compose(outer, inner), t) = apply(outer, apply(inner, t)).
-
-    No substitution built here binds a variable to itself, so an
-    identity side leaves the other one as it is.
-    """
-    if not outer.bindings:
-        return inner
-    if not inner.bindings:
-        return outer
-    out: dict[str, FeatureTerm] = {}
-    for name, term in inner.bindings.items():
-        term = apply(outer, term)
-        if not (isinstance(term, Var) and term.name == name):
-            out[name] = term
-    for name, term in outer.bindings.items():
-        if name not in inner.bindings:
-            out[name] = term
-    return Substitution(out)
 
 
 class Node:
@@ -360,9 +315,29 @@ def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, S
     return read_back(root), bindings(trail)
 
 
+def apply(subst: Substitution, term: FeatureTerm) -> FeatureTerm:
+    """Replace each bound variable of `term` by its image, in one pass:
+    an image is instantiated with its own names, so its variables stay."""
+    names = {name: instantiate(image, None, {}) for name, image in subst.bindings.items()}
+    return read_back(instantiate(term, None, names))
+
+
+def compose(outer: Substitution, inner: Substitution) -> Substitution:
+    """Substitution with apply(compose(outer, inner), t) = apply(outer, apply(inner, t))."""
+    out: dict[str, FeatureTerm] = {}
+    for name, term in inner.bindings.items():
+        term = apply(outer, term)
+        if not (isinstance(term, Var) and term.name == name):
+            out[name] = term
+    for name, term in outer.bindings.items():
+        if name not in inner.bindings:
+            out[name] = term
+    return Substitution(out)
+
+
 def freshen(term: FeatureTerm, prefix: str) -> FeatureTerm:
-    """Rename every variable v to prefix.v; variable-free subterms are shared."""
-    return _replace(term, lambda var: Var(prefix + "." + var.name))
+    """Rename every variable v to prefix.v."""
+    return read_back(instantiate(term, prefix, {}))
 
 
 def format_feature(term: FeatureTerm) -> str:

@@ -512,14 +512,17 @@ def erase_features(grammar: FbRtg) -> FbRtg:
 
 
 def _erasable_positions(
-    rules: list[FbRule],
+    rules: list[FbRule], sites: dict[str, SiteInfo]
 ) -> tuple[dict[str, set[int]], dict[Nonterminal, FbRule]]:
     """Rule positions that can only ever derive the empty adjunction tree,
     and the one rule that derives it for each nonterminal they hold.
 
     A nonterminal qualifies when its only rule is an empty-adjunction
     rule.  A position is dropped only if it qualifies in every rule of
-    its terminal, which keeps terminal ranks consistent.
+    its terminal, which keeps terminal ranks consistent.  The root slot
+    of an initial tree never is, as the left-corner form has no such
+    slot; a rule has it when the tree's site kinds are as many as its
+    slots.
     """
     by_lhs: dict[Nonterminal, list[FbRule]] = {}
     for rule in rules:
@@ -535,6 +538,15 @@ def _erasable_positions(
     positions: dict[str, set[int]] = {}
     for rule in rules:
         here = {i for i, (nt, _) in enumerate(rule.rhs, start=1) if nt in epsilon}
+        if 1 in here:
+            info = sites.get(rule.terminal)
+            if (
+                info is not None
+                and info.tree_kind == "initial"
+                and info.root_active
+                and len(info.slot_kinds) == rule.rank
+            ):
+                here.discard(1)
         if rule.terminal in positions:
             positions[rule.terminal] &= here
         else:
@@ -577,7 +589,7 @@ def _eliminate_forced_slots(rules: list[FbRule], sites: dict[str, SiteInfo]) -> 
     A terminal's leading site kinds beyond its rank have no rule slot.
     """
     while True:
-        erasable, epsilon = _erasable_positions(rules)
+        erasable, epsilon = _erasable_positions(rules, sites)
         if not erasable:
             return rules
         ranks = {rule.terminal: rule.rank for rule in rules}
@@ -658,7 +670,10 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     derivation satisfies.  Substitution partners of surviving
     adjunction nonterminals stay declared.  The terminals are those the
     remaining rules use, at the ranks they use them with, and a
-    terminal's site entry loses the kinds of its dropped slots.
+    terminal's site entry loses the kinds of its dropped slots.  The
+    root slot of an initial tree is never dropped, so the reduced
+    standard and left-corner forms keep the same sites and `lc_inverse`
+    and `lc_image` map between them.
     """
     sites = dict(grammar.sites)
     rules = _eliminate_forced_slots(list(grammar.rules), sites)

@@ -220,49 +220,59 @@ _KINDS = {k.value: k for k in (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION, NodeK
 
 
 def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
+    """One tree from its opening '(' on, in one loop that keeps each node
+    whose ')' is still to come on a stack: its label, kind, top, bottom
+    and the children read so far."""
+    stack: list[list] = []
     pos = _expect(text, pos, "(")
-    pos = _skip(text, pos)
-    label, pos = _word(text, pos)
-    if label == "word":
-        pos = _expect(text, pos, '"')
-        end = text.find('"', pos)
-        if end < 0:
-            _fail(text, pos, "unterminated word")
-        word = text[pos:end]
-        pos = _expect(text, end + 1, ")")
-        return TreeNode(word, NodeKind.ANCHOR), pos
-    kind = NodeKind.INTERNAL
-    top = bot = TOP
-    children: list[TreeNode] = []
     while True:
+        # Just past a '(': the node's label.
         pos = _skip(text, pos)
-        if pos >= len(text):
-            _fail(text, pos, "unterminated node")
-        if text[pos] == ")":
-            return TreeNode(label, kind, top, bot, tuple(children)), pos + 1
-        if text[pos] == "(":
-            child, pos = _parse_node(text, pos)
-            children.append(child)
-            continue
-        key, pos = _word(text, pos)
-        pos = _expect(text, pos, "=")
-        if key == "kind":
-            pos = _skip(text, pos)
-            value, pos = _word(text, pos)
-            if value not in _KINDS:
-                _fail(text, pos, f"unknown node kind {value!r}")
-            kind = _KINDS[value]
-        elif key in ("top", "bot"):
-            try:
-                term, pos = parse_feature_at(text, pos)
-            except FeatureSyntaxError as err:
-                _fail(text, err.position, str(err))
-            if key == "top":
-                top = term
-            else:
-                bot = term
+        label, pos = _word(text, pos)
+        if label == "word":
+            pos = _expect(text, pos, '"')
+            end = text.find('"', pos)
+            if end < 0:
+                _fail(text, pos, "unterminated word")
+            node = TreeNode(text[pos:end], NodeKind.ANCHOR)
+            pos = _expect(text, end + 1, ")")
+            if not stack:
+                return node, pos
+            stack[-1][4].append(node)
         else:
-            _fail(text, pos, f"unknown attribute {key!r}")
+            stack.append([label, NodeKind.INTERNAL, TOP, TOP, []])
+        # The open node's attributes and closed children, up to a child's '('.
+        while True:
+            pos = _skip(text, pos)
+            if pos >= len(text):
+                _fail(text, pos, "unterminated node")
+            if text[pos] == "(":
+                pos += 1
+                break
+            if text[pos] == ")":
+                pos += 1
+                label, kind, top, bot, children = stack.pop()
+                node = TreeNode(label, kind, top, bot, tuple(children))
+                if not stack:
+                    return node, pos
+                stack[-1][4].append(node)
+                continue
+            key, pos = _word(text, pos)
+            pos = _expect(text, pos, "=")
+            if key == "kind":
+                pos = _skip(text, pos)
+                value, pos = _word(text, pos)
+                if value not in _KINDS:
+                    _fail(text, pos, f"unknown node kind {value!r}")
+                stack[-1][1] = _KINDS[value]
+            elif key in ("top", "bot"):
+                try:
+                    term, pos = parse_feature_at(text, pos)
+                except FeatureSyntaxError as err:
+                    _fail(text, err.position, str(err))
+                stack[-1][2 if key == "top" else 3] = term
+            else:
+                _fail(text, pos, f"unknown attribute {key!r}")
 
 
 def format_tag(tag: Tag) -> str:

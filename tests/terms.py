@@ -1,4 +1,4 @@
-"""Term comparisons the unification tests need and the library does not."""
+"""Term operations the unification tests need and the library does not."""
 
 from tagrtg.features import Avm, Substitution, Var, variables
 
@@ -25,3 +25,13 @@ def is_idempotent(sigma: Substitution) -> bool:
     for term in sigma.bindings.values():
         image_vars |= variables(term)
     return not (image_vars & set(sigma.bindings))
+
+
+def substitute(term, image):
+    """`term` with each variable whose name `image` maps replaced by its
+    image, in one pass: the images are not searched in turn."""
+    if isinstance(term, Var):
+        return image.get(term.name, term)
+    if isinstance(term, Avm):
+        return Avm((k, substitute(v, image)) for k, v in term.entries)
+    return term

@@ -27,6 +27,7 @@ from tagrtg.features import (
     Var,
     apply,
     compose,
+    freshen,
     unify,
     unify_all,
     variables,
@@ -47,7 +48,7 @@ from tagrtg.rtg_io import parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
 from tagrtg.translate import to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
-from terms import alpha_equal, is_idempotent
+from terms import alpha_equal, is_idempotent, substitute
 
 GOLDEN = Path(__file__).parent / "golden"
 FIG2_PATH = str(bundled_grammar("fig2"))
@@ -314,15 +315,18 @@ def random_tag(seed):
     return Tag(labels[0], tuple(trees))
 
 
-def _lc_disagreements(seeds, height):
+def _lc_disagreements(seeds, height, reduced=False):
     """Trees of height <= `height` on which the standard and left-corner
-    feature forms of `random_tag(seed)` disagree, both ways: every
-    skeleton tree against its lc_image, and every LC tree's lc_inverse,
-    which the standard form must accept.  Returns (trees, disagreements)."""
+    feature forms of `random_tag(seed)`, both reduced if `reduced`,
+    disagree, both ways: every skeleton tree against its lc_image, and
+    every LC tree's lc_inverse, which the standard form must accept.
+    Returns (trees, disagreements)."""
     checked, wrong = 0, []
     for seed in seeds:
         tag = random_tag(seed)
         std, lc = to_fbrtg(tag), lc_fbrtg(tag)
+        if reduced:
+            std, lc = reduce_grammar(std), reduce_grammar(lc)
         for tree in enumerate_trees(erase_features(std), height):
             checked += 1
             if accepts(std, tree) != accepts(lc, lc_image(std, tree)):
@@ -397,6 +401,8 @@ def test_standard_and_left_corner_forms_derive_the_same_trees():
     # The seeds whose feature forms disagreed at height 4 while a
     # variable bound to an AVM kept a copy that missed later attributes.
     assert _lc_disagreements((51, 85, 98, 113, 147, 198, 252, 266), 4) == (7888, [])
+    # Reduction keeps the same sites in both forms, so the maps still hold.
+    assert _lc_disagreements(range(300), 3, reduced=True) == (1104, [])
     assert time.perf_counter() - start < 60.0
 
 
@@ -594,3 +600,17 @@ def test_criterion_9_unification_property_suite():
     unification_is_symmetric_up_to_renaming()
     unifier_substitutions_are_idempotent()
     composition_agrees_with_sequential_application()
+
+
+def test_term_view_matches_an_independent_substitution():
+    """`apply` and `freshen` run on the node kernel; `substitute` walks
+    the terms themselves."""
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(small_substitutions(), small_terms(), st.sampled_from(["1", "2.1"]))
+    def agree(sigma, term, prefix):
+        assert apply(sigma, term) == substitute(term, sigma.bindings)
+        renaming = {name: Var(f"{prefix}.{name}") for name in variables(term)}
+        assert freshen(term, prefix) == substitute(term, renaming)
+
+    agree()

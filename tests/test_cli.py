@@ -10,6 +10,7 @@ import pytest
 import tagrtg
 from tagrtg.cli import main
 from tagrtg.tag import bundled_grammar
+from test_rtg import ROOT_SLOT_TAG
 
 GOLDEN = Path(__file__).parent / "golden"
 FIG2 = str(bundled_grammar("fig2"))
@@ -49,14 +50,19 @@ start: S;
 initial t { (S (NP kind=subst top=[f: b(c]) (NP kind=subst) (word "w")) }
 initial n { (NP kind=adj bot=[f: b(c, g: d)] (word "n")) }
 initial m { (NP kind=adj bot=[f: d)] (word "m")) }
+initial k { (S (X kind=adj top=?x bot=[f: b(c]) (NP kind=subst top=?x ) (word "k")) }
 """
 
 
+# Reduction drops k's X_A slot, below its root, and reads the NP_S
+# constraint that shares ?x with it back as [top: [f: b(c]].
 @pytest.mark.parametrize(
     "flags, trees, rejected",
     [
-        ([], ["t(n(e_A), n(e_A))", "t(n(e_A), m(e_A))"], "t(m(e_A), n(e_A))"),
-        (["--reduce"], ["t(n, n)", "t(n, m)"], "t(m, n)"),
+        ([], ["t(n(e_A), n(e_A))", "t(n(e_A), m(e_A))", "k(e_A, n(e_A))"],
+         "t(m(e_A), n(e_A))"),
+        (["--reduce"], ["t(n(e_A), n(e_A))", "t(n(e_A), m(e_A))", "k(n(e_A))"],
+         "t(m(e_A), n(e_A))"),
     ],
 )
 def test_atoms_with_parentheses_read_back(tmp_path, capsys, flags, trees, rejected):
@@ -151,6 +157,18 @@ def test_invert_prints_the_original_tree(capsys):
     assert main(["invert", str(GOLDEN / "lc_features.rtg"),
                  "e_S(one of(the(cats)))"]) == 0
     assert capsys.readouterr().out == "cats(the(one of(e_A)))\n"
+
+
+def test_invert_maps_reduced_lc_trees_onto_the_reduced_standard_form(tmp_path, capsys):
+    tag = tmp_path / "root_slot.tag"
+    tag.write_text(ROOT_SLOT_TAG)
+    lc, standard = str(tmp_path / "lc.rtg"), str(tmp_path / "standard.rtg")
+    assert main(["translate", str(tag), "--lc", "--features", "--reduce", "--out", lc]) == 0
+    assert main(["translate", str(tag), "--features", "--reduce", "--out", standard]) == 0
+    assert main(["invert", lc, "e_S(t(u))"]) == 0
+    original = capsys.readouterr().out
+    assert original == "t(e_A, u)\n"
+    assert main(["check", standard, original.strip()]) == 0
 
 
 @pytest.mark.parametrize(

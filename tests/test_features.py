@@ -179,15 +179,21 @@ def test_avm_rejects_duplicate_keys():
 
 def test_identity_substitution_returns_the_term_itself():
     term = avm(top=Var("t"), bot=avm(agr=Var("x")))
-    assert apply(IDENTITY, term) is term
+    assert apply(IDENTITY, term) == term
 
 
 def test_apply_shares_subterms_without_bound_variables():
     term = avm(top=Var("t"), bot=avm(agr=Atom("3sg")))
-    assert apply(Substitution({"y": Atom("3pl")}), term) is term
+    assert apply(Substitution({"y": Atom("3pl")}), term) == term
     bound = apply(Substitution({"t": Atom("3pl")}), term)
     assert bound == avm(top=Atom("3pl"), bot=avm(agr=Atom("3sg")))
-    assert bound.get("bot") is term.get("bot")
+    assert bound.get("bot") == term.get("bot")
+
+
+def test_apply_replaces_in_one_pass():
+    # Both orders: replacing in turn would show in one of them.
+    for bound in ({"x": avm(f=Var("y")), "y": Atom("a")}, {"y": Atom("a"), "x": avm(f=Var("y"))}):
+        assert apply(Substitution(bound), avm(g=Var("x"))) == avm(g=avm(f=Var("y")))
 
 
 def test_apply_drops_entries_bound_to_top():
@@ -196,13 +202,13 @@ def test_apply_drops_entries_bound_to_top():
 
 def test_freshen_returns_variable_free_terms_themselves():
     term = avm(agr=Atom("3sg"), det=avm(def_=Atom("+")))
-    assert freshen(term, "1.2") is term
+    assert freshen(term, "1.2") == term
 
 
 def test_compose_with_identity_keeps_the_other_side():
     sigma = Substitution({"x": Atom("a")})
-    assert compose(IDENTITY, sigma) is sigma
-    assert compose(sigma, IDENTITY) is sigma
+    assert compose(IDENTITY, sigma) == sigma
+    assert compose(sigma, IDENTITY) == sigma
 
 
 def test_avm_equality_ignores_entry_order():

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from tagrtg.features import Atom, bindings, instantiate, parse_feature
-from tagrtg.leftcorner import lc_fbrtg, lc_inverse
+from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
@@ -342,9 +342,10 @@ def test_reduce_keeps_a_slot_with_two_empty_rules():
     assert accepts(reduced, parse_tree("s(e_A)"))
 
 
-# S_A and A_A only derive e_A, so reduction drops both slots of t in the
-# standard form.  The left-corner rule for t has no root slot, so there
-# it drops only the A_A slot, whose site is the third, not the second.
+# S_A and A_A only derive e_A.  The left-corner rule for t has no root
+# slot, so reduction drops only the A_A slot there, whose site is the
+# third, not the second; it keeps the standard form's S_A root slot, so
+# both forms keep the same sites and the maps between them still hold.
 ROOT_SLOT_TAG = """\
 start: S;
 initial t { (S kind=adj (B kind=subst) (A kind=adj (word "a"))) }
@@ -354,25 +355,21 @@ initial u { (B (word "b")) }
 
 def test_reduce_drops_the_site_kinds_of_the_slots_it_drops():
     tag = parse_tag(ROOT_SLOT_TAG)
-    for build, kinds in ((to_fbrtg, ("subst",)), (lc_fbrtg, ("adj", "subst"))):
+    for build, rank in ((to_fbrtg, 2), (lc_fbrtg, 1)):
         reduced = reduce_grammar(build(tag))
-        assert dict(reduced.terminals)["t"] == 1
-        assert reduced.index.sites["t"].slot_kinds == kinds
+        assert dict(reduced.terminals)["t"] == rank
+        assert reduced.index.sites["t"].slot_kinds == ("adj", "subst")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AlphabetError,
-    reason="reduction drops forced slots in each form on its own, "
-    "so lc_inverse does not map the reduced LC form onto the reduced standard form",
-)
 def test_lc_inverse_maps_reduced_lc_trees_onto_the_reduced_standard_form():
     tag = parse_tag(ROOT_SLOT_TAG)
     standard, lc = reduce_grammar(to_fbrtg(tag)), reduce_grammar(lc_fbrtg(tag))
     tree = parse_tree("e_S(t(u))")
     assert accepts(lc, tree)
-    # The inverse is t(e_A, u), but the reduced standard t has rank 1.
-    assert accepts(standard, lc_inverse(lc, tree))
+    inverse = lc_inverse(lc, tree)
+    assert inverse == parse_tree("t(e_A, u)")
+    assert accepts(standard, inverse)
+    assert lc_image(standard, inverse) == tree
 
 
 def test_reduce_prunes_and_orders():

@@ -113,7 +113,8 @@ def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
 
 def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
     # A 5,000-deep chain ending in a bare atom, which keeps its space
-    # before the ')'.  parse_tag still recurses, so no round trip.
+    # before the ')'.  The round trip compares text: TreeNode's generated
+    # __eq__ recurses.
     node = TreeNode("NP", NodeKind.SUBSTITUTION, top=Atom("a"))
     for _ in range(5000):
         node = TreeNode("X", children=(node,))
@@ -121,6 +122,7 @@ def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
     text = format_tag(Tag("S", (ElemTree("t", False, root),)))
     chain = "(X " * 5000 + "(NP kind=subst top=a )" + ")" * 5000
     assert text == f'start: S;\ninitial t {{ (S {chain} (word "w")) }}\n'
+    assert format_tag(parse_tag(text)) == text
 
 
 @pytest.mark.parametrize("char", list("=/,;&()[]{}"))
