@@ -28,7 +28,6 @@ from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
     FbRule,
-    Flavor,
     GrammarError,
     Nonterminal,
     NonterminalMismatch,
@@ -62,7 +61,7 @@ __all__ = [
     "IDENTITY", "TOP", "Atom", "Avm", "FeatureSyntaxError", "Substitution", "Var",
     "format_feature", "parse_feature", "variables",
     "MalformedLcTree", "RootNotAdjoinable", "lc_fbrtg", "lc_image", "lc_inverse",
-    "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule", "Flavor",
+    "EPS_ADJOIN", "EPS_SUBST", "AlphabetError", "FbRtg", "FbRule",
     "GrammarError", "Nonterminal", "NonterminalMismatch", "SiteInfo",
     "accepts", "accepts_detailed", "enumerate_trees", "erase_features", "reduce_grammar",
     "RtgParseError", "format_rtg", "load_rtg", "parse_rtg", "save_rtg",

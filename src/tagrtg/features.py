@@ -34,21 +34,18 @@ class FeatureTerm:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return format_feature(self)
+
 
 @dataclass(frozen=True)
 class Atom(FeatureTerm):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Var(FeatureTerm):
     name: str
-
-    def __str__(self) -> str:
-        return "?" + self.name
 
 
 class Avm(FeatureTerm):
@@ -72,19 +69,6 @@ class Avm(FeatureTerm):
                 kept.append((key, value))
         object.__setattr__(self, "entries", tuple(kept))
 
-    @classmethod
-    def _rebuilt(cls, entries: Iterable[tuple[str, FeatureTerm]]) -> Avm:
-        """An AVM from entries whose keys are known to be unique.
-
-        Skips the duplicate check of the constructor but still drops
-        entries whose value became top.
-        """
-        avm = object.__new__(cls)
-        object.__setattr__(
-            avm, "entries", tuple(entry for entry in entries if not is_top(entry[1]))
-        )
-        return avm
-
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Avm is immutable")
 
@@ -104,9 +88,6 @@ class Avm(FeatureTerm):
 
     def __repr__(self) -> str:
         return f"Avm({list(self.entries)!r})"
-
-    def __str__(self) -> str:
-        return format_feature(self)
 
 
 TOP = Avm()
@@ -269,7 +250,7 @@ def read_back(node) -> FeatureTerm:
         return node
     if node.arcs is None:
         return Var(node.name)
-    return Avm._rebuilt((key, read_back(value)) for key, value in node.arcs.items())
+    return Avm((key, read_back(value)) for key, value in node.arcs.items())
 
 
 def bindings(trail: list, start: int = 0) -> Substitution:

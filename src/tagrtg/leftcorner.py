@@ -13,9 +13,9 @@ the stack of adjunctions.  The grammars themselves are built in
 from __future__ import annotations
 
 from tagrtg.rtg import EPS_ADJOIN, EPS_SUBST, FbRtg, GrammarError, SiteInfo
-# Re-exported from their former home: perfbench/tracing.py looks
+# Re-exported from its former home: perfbench/tracing.py looks
 # lc_fbrtg up in this module.
-from tagrtg.translate import RootNotAdjoinable, lc_fbrtg  # noqa: F401
+from tagrtg.translate import lc_fbrtg  # noqa: F401
 from tagrtg.trees import DerivTree
 
 

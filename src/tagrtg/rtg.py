@@ -14,7 +14,6 @@ through the nodes they share; backtracking undoes the kernel's trail.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -39,21 +38,12 @@ EPS_SUBST = "e_S"
 EPS_ADJOIN = "e_A"
 
 
-class Flavor(enum.Enum):
-    PLAIN = ""
-    SUBST = "_S"
-    ADJOIN = "_A"
-
-
-class Nonterminal(str):
-    """A nonterminal is its printed name: a TAG label followed by its
-    site flavor's suffix, so it hashes and compares as that string, in
-    grammar indexes and in `.rtg` files alike."""
-
-    __slots__ = ()
-
-    def __new__(cls, base: str, flavor: Flavor = Flavor.PLAIN) -> Nonterminal:
-        return super().__new__(cls, base + flavor.value)
+# A nonterminal is its name, the same string in grammar indexes and
+# `.rtg` files: a TAG label plus the suffix of the kind of site it fills
+# (the left-corner chains use the bare label).
+Nonterminal = str
+SUBST_SUFFIX = "_S"
+ADJOIN_SUFFIX = "_A"
 
 
 Constraint = tuple[FeatureTerm, ...]
@@ -530,7 +520,7 @@ def _erasable_positions(
     epsilon = {
         nt: own[0]
         for nt, own in by_lhs.items()
-        if nt.endswith(Flavor.ADJOIN.value)
+        if nt.endswith(ADJOIN_SUFFIX)
         and len(own) == 1
         and own[0].terminal == EPS_ADJOIN
         and not own[0].rhs
@@ -687,8 +677,8 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     declared = set(grammar.nonterminals)
     listed = set(order)
     for nt in order:
-        if nt.endswith(Flavor.ADJOIN.value):
-            partner = Nonterminal(nt.removesuffix(Flavor.ADJOIN.value), Flavor.SUBST)
+        if nt.endswith(ADJOIN_SUFFIX):
+            partner = nt.removesuffix(ADJOIN_SUFFIX) + SUBST_SUFFIX
             if partner in declared and partner not in listed:
                 listed.add(partner)
                 nts.append(partner)

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from tagrtg.features import FeatureSyntaxError, format_feature, parse_feature_at
-from tagrtg.rtg import FbRtg, FbRule, Nonterminal, SiteInfo, Slot
+from tagrtg.rtg import FbRtg, FbRule, SiteInfo, Slot
 
 FORMAT_VERSION = 1
 
@@ -90,7 +90,7 @@ def _parse_slot(text: str, pos: int, ends: tuple[str, ...], line: int) -> tuple[
     name = _NAME.match(text, pos)
     if name is None:
         raise RtgParseError("empty slot", line)
-    nt = Nonterminal(name[1])
+    nt = name[1]
     start = name.end()
     if not name[2] or text.startswith(ends, start):
         return (nt, ()), start
@@ -207,10 +207,9 @@ def parse_rtg(text: str) -> FbRtg:
         raise RtgParseError(f"unknown rule form {words[2]!r}", number)
     form = words[2]
 
-    axiom_text, _ = _labeled(lines, "axiom")
-    axiom = Nonterminal(axiom_text)
+    axiom, _ = _labeled(lines, "axiom")
     nt_text, _ = _labeled(lines, "nonterminals")
-    nonterminals = tuple(Nonterminal(t.strip()) for t in nt_text.split(",") if t.strip())
+    nonterminals = tuple(t.strip() for t in nt_text.split(",") if t.strip())
     term_text, number = _labeled(lines, "terminals")
     terminals = []
     for chunk in term_text.split(","):

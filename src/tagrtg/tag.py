@@ -22,6 +22,7 @@ from tagrtg.features import (
     is_top,
     parse_feature_at,
 )
+from tagrtg.trees import ValueTree
 
 
 class NodeKind(enum.Enum):
@@ -35,13 +36,16 @@ class NodeKind(enum.Enum):
 ACTIVE_KINDS = (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+@dataclass(frozen=True, eq=False)
+class TreeNode(ValueTree):
     label: str
     kind: NodeKind = NodeKind.INTERNAL
     top: FeatureTerm = TOP
     bot: FeatureTerm = TOP
     children: tuple[TreeNode, ...] = ()
+
+    def _head(self) -> tuple:
+        return self.label, self.kind, self.top, self.bot
 
     @property
     def is_active(self) -> bool:

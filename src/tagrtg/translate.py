@@ -30,12 +30,13 @@ from __future__ import annotations
 
 from tagrtg.features import TOP, Avm, Var, is_top, variables
 from tagrtg.rtg import (
+    ADJOIN_SUFFIX,
     EPS_ADJOIN,
     EPS_SUBST,
+    SUBST_SUFFIX,
     Constraint,
     FbRtg,
     FbRule,
-    Flavor,
     GrammarError,
     Nonterminal,
     SiteInfo,
@@ -77,8 +78,7 @@ def site_table(tag: Tag) -> tuple[tuple[str, SiteInfo], ...]:
 
 
 def node_nt(node: TreeNode) -> Nonterminal:
-    flavor = Flavor.SUBST if node.kind is NodeKind.SUBSTITUTION else Flavor.ADJOIN
-    return Nonterminal(node.label, flavor)
+    return node.label + (SUBST_SUFFIX if node.kind is NodeKind.SUBSTITUTION else ADJOIN_SUFFIX)
 
 
 def interface_var(tree: ElemTree) -> str:
@@ -128,7 +128,6 @@ def tree_rule(tree: ElemTree) -> FbRule:
     below the adjunction.
     """
     t = interface_var(tree)
-    lhs_flavor = Flavor.ADJOIN if tree.auxiliary else Flavor.SUBST
     root = tree.root
     foot_bot = tree.foot().bot if tree.auxiliary else TOP
     first = _pair(Var(t) if tree.root_active else TOP, foot_bot)
@@ -138,29 +137,30 @@ def tree_rule(tree: ElemTree) -> FbRule:
         # The root slot shares the interface variable on top and keeps
         # the root's own bottom.
         slots = ((node_nt(root), _constraint(_pair(Var(t), root.bot))),) + slots
-    return FbRule(Nonterminal(root.label, lhs_flavor), interface, tree.name, slots)
+    lhs = root.label + (ADJOIN_SUFFIX if tree.auxiliary else SUBST_SUFFIX)
+    return FbRule(lhs, interface, tree.name, slots)
 
 
 def closure_rule(symbol: str) -> FbRule:
     shared = Var(CLOSURE_VAR)
     feat = (Avm((("top", shared), ("bot", shared))),)
-    return FbRule(Nonterminal(symbol, Flavor.ADJOIN), feat, EPS_ADJOIN, ())
+    return FbRule(symbol + ADJOIN_SUFFIX, feat, EPS_ADJOIN, ())
 
 
 def _epsilon_subst_rule(symbol: str) -> FbRule:
     t = Var(INTERFACE_VAR)
-    child = (Nonterminal(symbol), (Avm((("top", t), ("bot", t))),))
-    return FbRule(Nonterminal(symbol, Flavor.SUBST), (Avm((("top", t),)),), EPS_SUBST, (child,))
+    child = (symbol, (Avm((("top", t), ("bot", t))),))
+    return FbRule(symbol + SUBST_SUFFIX, (Avm((("top", t),)),), EPS_SUBST, (child,))
 
 
 def _grammar(tag: Tag, names: tuple[str, ...], rules, form: str) -> FbRtg:
-    """Assemble a translation: each label in each flavor of the form,
+    """Assemble a translation: each label with each suffix of the form,
     then the axiom if no node carries the start label; the terminals
     the rules use plus the ε terminals; the site table of the TAG."""
     lc = form == "lc"
-    flavors = (Flavor.SUBST, Flavor.PLAIN, Flavor.ADJOIN) if lc else (Flavor.SUBST, Flavor.ADJOIN)
-    nonterminals = tuple(Nonterminal(name, flavor) for flavor in flavors for name in names)
-    axiom = Nonterminal(tag.start, Flavor.SUBST)
+    suffixes = (SUBST_SUFFIX, "", ADJOIN_SUFFIX) if lc else (SUBST_SUFFIX, ADJOIN_SUFFIX)
+    nonterminals = tuple(name + suffix for suffix in suffixes for name in names)
+    axiom = tag.start + SUBST_SUFFIX
     if axiom not in nonterminals:
         nonterminals += (axiom,)
     terminals = {(rule.terminal, rule.rank) for rule in rules} | {(EPS_ADJOIN, 0)}
@@ -201,8 +201,8 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
     names = symbols(tag)
     labels = set(names)
     for name in names:
-        for flavor in (Flavor.SUBST, Flavor.ADJOIN):
-            clash = Nonterminal(name, flavor)
+        for suffix in (SUBST_SUFFIX, ADJOIN_SUFFIX):
+            clash = name + suffix
             if clash in labels:
                 raise GrammarError(
                     f"labels {name!r} and {clash!r} both name the"
@@ -215,7 +215,7 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
             continue
         rules.append(
             FbRule(
-                Nonterminal(tree.root.label),
+                tree.root.label,
                 _constraint(_pair(tree.root.top, tree.root.bot)),
                 tree.name,
                 _below_root(tree),
@@ -223,10 +223,10 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
         )
     for tree in tag.auxiliaries:
         t = Var(interface_var(tree))
-        chain = (Nonterminal(tree.root.label), _constraint(_pair(t, tree.foot().bot)))
+        chain = (tree.root.label, _constraint(_pair(t, tree.foot().bot)))
         rules.append(
             FbRule(
-                Nonterminal(tree.root.label),
+                tree.root.label,
                 _constraint(_pair(t, tree.root.bot), _pair(tree.root.top, TOP)),
                 tree.name,
                 (chain,) + _below_root(tree),

@@ -1,8 +1,8 @@
 """Ranked trees over string labels.
 
-Derivation trees and sentential forms both live here.  Positions are
-Gorn addresses written as dotted 1-based child indices; the root is
-"ε", the second child of the first child is "1.2".
+Derivation trees live here; elementary-tree nodes share their value
+equality.  Positions are Gorn addresses written as dotted 1-based child
+indices; the root is "ε", the second child of the first child is "1.2".
 """
 
 from __future__ import annotations
@@ -19,10 +19,40 @@ def child_position(parent: str, index: int) -> str:
     return str(index) if parent == ROOT else f"{parent}.{index}"
 
 
-@dataclass(frozen=True)
-class DerivTree:
+class ValueTree:
+    """Equality and hashing by value, over explicit stacks so that trees
+    of any depth compare; `_head` is what a node holds besides its
+    `children`."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:  # a shared subtree equals itself
+                if a._head() != b._head() or len(a.children) != len(b.children):
+                    return False
+                pairs += zip(a.children, b.children)
+        return True
+
+    def __hash__(self) -> int:
+        # Each node's head and arity in preorder spell out the tree.
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            parts.append((node._head(), len(node.children)))
+            stack += reversed(node.children)
+        return hash(tuple(parts))
+
+
+@dataclass(frozen=True, eq=False)
+class DerivTree(ValueTree):
     label: str
     children: tuple[DerivTree, ...] = ()
+
+    def _head(self) -> str:
+        return self.label
 
     def positions(self) -> Iterator[tuple[str, DerivTree]]:
         """Preorder traversal as (gorn address, subtree) pairs."""

@@ -8,13 +8,13 @@ reduction code must reproduce, so nothing here may call it.
 import pytest
 
 from tagrtg.features import parse_feature
-from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, SiteInfo
+from tagrtg.rtg import FbRtg, FbRule, Nonterminal, SiteInfo
 
-S_S = Nonterminal("S", Flavor.SUBST)
-NP_S = Nonterminal("NP", Flavor.SUBST)
-NP_A = Nonterminal("NP", Flavor.ADJOIN)
-VP_S = Nonterminal("VP", Flavor.SUBST)
-VP_A = Nonterminal("VP", Flavor.ADJOIN)
+S_S = "S_S"
+NP_S = "NP_S"
+NP_A = "NP_A"
+VP_S = "VP_S"
+VP_A = "VP_A"
 NP = Nonterminal("NP")
 
 

@@ -27,12 +27,13 @@ from tagrtg.features import (
     Var,
     apply,
     compose,
+    format_feature,
     freshen,
     unify,
     unify_all,
     variables,
 )
-from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse
+from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
     FbRtg,
     FbRule,
@@ -46,7 +47,7 @@ from tagrtg.rtg import (
 )
 from tagrtg.rtg_io import parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
-from tagrtg.translate import to_fbrtg
+from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
 from terms import alpha_equal, is_idempotent, substitute
 
@@ -614,3 +615,9 @@ def test_term_view_matches_an_independent_substitution():
         assert freshen(term, prefix) == substitute(term, renaming)
 
     agree()
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(small_terms())
+def test_str_of_a_term_is_its_format_feature(term):
+    assert str(term) == format_feature(term)

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import tagrtg.leftcorner
 import tagrtg.translate
@@ -23,4 +24,12 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_translate_builds_both_forms():
     assert tagrtg.leftcorner.lc_fbrtg is tagrtg.translate.lc_fbrtg
-    assert tagrtg.leftcorner.RootNotAdjoinable is tagrtg.translate.RootNotAdjoinable
+
+
+def test_all_lists_the_public_names_the_package_binds():
+    bound = [
+        name
+        for name, value in vars(tagrtg).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert sorted(tagrtg.__all__) == sorted(bound + ["__version__"])

@@ -2,16 +2,10 @@
 
 import pytest
 
-from tagrtg.leftcorner import (
-    MalformedLcTree,
-    RootNotAdjoinable,
-    lc_fbrtg,
-    lc_image,
-    lc_inverse,
-)
+from tagrtg.leftcorner import MalformedLcTree, lc_image, lc_inverse
 from tagrtg.rtg import GrammarError, accepts, enumerate_trees, erase_features, reduce_grammar
 from tagrtg.tag import parse_tag
-from tagrtg.translate import site_table, to_fbrtg
+from tagrtg.translate import RootNotAdjoinable, lc_fbrtg, site_table, to_fbrtg
 from tagrtg.trees import DerivTree, format_tree, parse_tree
 
 

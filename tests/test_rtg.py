@@ -11,12 +11,11 @@ import dataclasses
 import pytest
 
 from tagrtg.features import Atom, bindings, instantiate, parse_feature
-from tagrtg.leftcorner import lc_fbrtg, lc_image, lc_inverse
+from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
     FbRule,
-    Flavor,
     Nonterminal,
     NonterminalMismatch,
     accepts,
@@ -28,7 +27,7 @@ from tagrtg.rtg import (
 )
 from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import parse_tag
-from tagrtg.translate import to_fbrtg
+from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
@@ -43,7 +42,7 @@ def _node(text):
 
 
 def test_derive_step_freshens_with_the_position():
-    rule = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[top: ?v, bot: ?v]"),), "e_A", ())
+    rule = FbRule("NP_A", (parse_feature("[top: ?v, bot: ?v]"),), "e_A", ())
     leaf = _node("[top: [agr: ?ε.x], bot: [agr: 3sg, const: +]]")
     trail = []
     slots = derive_step(rule, leaf, "1.1.1.1", trail)
@@ -55,15 +54,13 @@ def test_derive_step_freshens_with_the_position():
 
 
 def test_derive_step_fails_on_clash():
-    rule = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[bot: [const: -]]"),), "the", ())
+    rule = FbRule("NP_A", (parse_feature("[bot: [const: -]]"),), "the", ())
     assert derive_step(rule, _node("[bot: [const: +]]"), "1", []) is None
 
 
 def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
-    bound = FbRule(Nonterminal("NP", Flavor.ADJOIN), (parse_feature("[top: 3sg]"),), "e_A", ())
-    free = FbRule(
-        Nonterminal("NP", Flavor.SUBST), (), "cats", ((Nonterminal("NP", Flavor.ADJOIN), ()),)
-    )
+    bound = FbRule("NP_A", (parse_feature("[top: 3sg]"),), "e_A", ())
+    free = FbRule("NP_S", (), "cats", (("NP_A", ()),))
     leaf = _node("[top: ?x]")
     trail = []
     assert derive_step(bound, leaf, "1", trail) == ()
@@ -86,7 +83,7 @@ def test_derive_step_cannot_close_the_verb_slot(feature_grammar):
     slots = derive_step(_rule_for(feature_grammar, "caught"), None, "ε", trail)
     eps = next(
         r for r in feature_grammar.rules
-        if r.terminal == "e_A" and r.lhs == Nonterminal("VP", Flavor.ADJOIN)
+        if r.terminal == "e_A" and r.lhs == "VP_A"
     )
     # The verb slot wants ind on top and ppart below, so the empty
     # adjunction cannot close it.
@@ -192,9 +189,9 @@ def test_depth_three_trees_exactly(feature_grammar):
 
 
 def test_enumeration_deduplicates_across_rule_choices():
-    x = Nonterminal("X", Flavor.SUBST)
-    a = Nonterminal("A", Flavor.ADJOIN)
-    b = Nonterminal("B", Flavor.ADJOIN)
+    x = "X_S"
+    a = "A_A"
+    b = "B_A"
     grammar = FbRtg(
         axiom=x,
         nonterminals=(x, a, b),
@@ -208,6 +205,16 @@ def test_enumeration_deduplicates_across_rule_choices():
     )
     # Two distinct runs assemble the same tree; it comes out once.
     assert [str(t) for t in enumerate_trees(grammar, 2)] == ["a(e_A)"]
+
+
+def test_enumeration_deduplicates_trees_of_any_depth():
+    # The two leaf rules share a shape, so each emitted tree is hashed
+    # into the set of trees seen so far, 600 levels deep at most.
+    x = Nonterminal("X")
+    leaf = FbRule(x, (), "a", ())
+    grammar = FbRtg(x, (x,), (("a", 0), ("f", 1)), (FbRule(x, (), "f", ((x, ()),)), leaf, leaf))
+    trees = list(enumerate_trees(grammar, 600))
+    assert len(trees) == len(set(trees)) == 600
 
 
 def test_enumeration_is_deterministic(feature_grammar):
@@ -268,15 +275,15 @@ def test_long_derivations_of_shallow_trees():
 
 # ------------------------------------------------------------- reduction
 
-A_A = Nonterminal("A", Flavor.ADJOIN)
-A_S = Nonterminal("A", Flavor.SUBST)
-B_A = Nonterminal("B", Flavor.ADJOIN)
-B_S = Nonterminal("B", Flavor.SUBST)
-C_S = Nonterminal("C", Flavor.SUBST)
-D_A = Nonterminal("D", Flavor.ADJOIN)
-S_S = Nonterminal("S", Flavor.SUBST)
-X_A = Nonterminal("X", Flavor.ADJOIN)
-X_S = Nonterminal("X", Flavor.SUBST)
+A_A = "A_A"
+A_S = "A_S"
+B_A = "B_A"
+B_S = "B_S"
+C_S = "C_S"
+D_A = "D_A"
+S_S = "S_S"
+X_A = "X_A"
+X_S = "X_S"
 
 
 def _toy_grammar():
@@ -419,7 +426,7 @@ def test_reduce_preserves_bounded_language():
 
 def test_validate_catches_mismatches(feature_grammar):
     bad_nt = FbRtg(
-        axiom=Nonterminal("Z", Flavor.SUBST),
+        axiom="Z_S",
         nonterminals=feature_grammar.nonterminals,
         terminals=feature_grammar.terminals,
         rules=feature_grammar.rules,

@@ -5,11 +5,10 @@ from itertools import zip_longest
 import pytest
 
 from tagrtg.features import parse_feature
-from tagrtg.leftcorner import lc_fbrtg
-from tagrtg.rtg import FbRtg, FbRule, Flavor, Nonterminal, NonterminalMismatch, reduce_grammar
+from tagrtg.rtg import FbRtg, FbRule, Nonterminal, NonterminalMismatch, reduce_grammar
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg, parse_rtg, save_rtg
 from tagrtg.tag import parse_tag
-from tagrtg.translate import to_fbrtg
+from tagrtg.translate import lc_fbrtg, to_fbrtg
 
 FEATURE_FILE = """\
 rtg 1 standard
@@ -131,7 +130,7 @@ def test_empty_sites_section():
     )
     grammar = parse_rtg(text)
     assert grammar.sites == ()
-    assert grammar.rules == (FbRule(Nonterminal("X", Flavor.SUBST), (), "leaf", ()),)
+    assert grammar.rules == (FbRule("X_S", (), "leaf", ()),)
     assert grammar.axiom == Nonterminal("X_S") == "X_S"
 
 
@@ -199,6 +198,17 @@ def test_rule_line_reports_number():
     with pytest.raises(RtgParseError) as err:
         parse_rtg(text)
     assert "line 21" in str(err.value)
+
+
+def test_nonterminals_are_plain_strings(fig2):
+    grammars = [to_fbrtg(fig2), lc_fbrtg(fig2)]
+    grammars += [reduce_grammar(g) for g in grammars]
+    grammars += [parse_rtg(format_rtg(g)) for g in grammars]
+    for grammar in grammars:
+        names = {grammar.axiom, *grammar.nonterminals}
+        for rule in grammar.rules:
+            names |= {rule.lhs, *(nt for nt, _ in rule.rhs)}
+        assert {type(name) for name in names} == {str}
 
 
 def test_lc_form_is_preserved(feature_grammar):

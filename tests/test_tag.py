@@ -113,16 +113,29 @@ def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
 
 def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
     # A 5,000-deep chain ending in a bare atom, which keeps its space
-    # before the ')'.  The round trip compares text: TreeNode's generated
-    # __eq__ recurses.
+    # before the ')'.
     node = TreeNode("NP", NodeKind.SUBSTITUTION, top=Atom("a"))
     for _ in range(5000):
         node = TreeNode("X", children=(node,))
     root = TreeNode("S", children=(node, TreeNode("w", NodeKind.ANCHOR)))
-    text = format_tag(Tag("S", (ElemTree("t", False, root),)))
+    tag = Tag("S", (ElemTree("t", False, root),))
+    text = format_tag(tag)
     chain = "(X " * 5000 + "(NP kind=subst top=a )" + ")" * 5000
     assert text == f'start: S;\ninitial t {{ (S {chain} (word "w")) }}\n'
     assert format_tag(parse_tag(text)) == text
+    assert parse_tag(text) == tag
+
+
+def test_deep_elementary_trees_compare_and_hash():
+    def chain(leaf):
+        node = TreeNode(leaf)
+        for _ in range(5000):
+            node = TreeNode("X", children=(node,))
+        return node
+
+    node, same = chain("a"), chain("a")
+    assert node == same and hash(node) == hash(same)
+    assert node != chain("b")
 
 
 @pytest.mark.parametrize("char", list("=/,;&()[]{}"))

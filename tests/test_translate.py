@@ -7,12 +7,11 @@ one rule per elementary tree, one empty-adjunction rule per symbol, so
 
 import pytest
 
-from tagrtg.leftcorner import lc_fbrtg
-from tagrtg.rtg import Flavor, Nonterminal, erase_features, reduce_grammar
+from tagrtg.rtg import erase_features, reduce_grammar
 from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
 from tagrtg.features import parse_feature
-from tagrtg.translate import site_table, symbols, to_fbrtg
+from tagrtg.translate import lc_fbrtg, site_table, symbols, to_fbrtg
 
 UNREDUCED = [
     "S_S -> caught(NP_S [top: [agr: ?x]], VP_A [top: [agr: ?x, mode: ind], bot: [mode: ppart]], NP_S)",
@@ -43,7 +42,7 @@ def test_symbol_alphabet_skips_anchors(fig2):
 
 def test_nonterminals_and_terminals(fig2):
     grammar = to_fbrtg(fig2)
-    assert grammar.axiom == Nonterminal("S", Flavor.SUBST)
+    assert grammar.axiom == "S_S"
     assert [str(nt) for nt in grammar.nonterminals] == [
         "S_S", "NP_S", "VP_S", "D_S", "P_S", "N_S",
         "S_A", "NP_A", "VP_A", "D_A", "P_A", "N_A",

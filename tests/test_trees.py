@@ -139,3 +139,15 @@ def test_deep_trees_parse_and_print():
     dot = to_dot(tree).splitlines()
     assert dot[2:4] == ['  n0 [label="f"];', '  n1 [label="f"];']
     assert dot[-3:] == ["  n1 -> n2;", "  n0 -> n1;", "}"]
+
+
+def test_deep_trees_compare_and_hash():
+    def chain(leaf):
+        tree = DerivTree(leaf)
+        for _ in range(100_000):
+            tree = DerivTree("f", (tree,))
+        return tree
+
+    tree, same = chain("a"), chain("a")
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != chain("b")
