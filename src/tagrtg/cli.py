@@ -88,21 +88,18 @@ def cmd_invert(args) -> int:
 
 
 def _inert_feature_notes(tag: Tag) -> list[str]:
-    """Features on nodes no rule ever touches, reported rather than lost."""
+    """Features on nodes no rule ever touches, reported rather than lost:
+    an inactive root's top is the tree's interface, and nothing reads any
+    other feature of an inactive node."""
     notes = []
     for tree in tag.trees:
-        for node in tree.nodes():
+        for node in tree.root.nodes():
             if node.kind is not NodeKind.INTERNAL:
                 continue
-            inert = []
-            if node is tree.root:
-                if not is_top(node.bot):
-                    inert.append("bot")
-            else:
-                if not is_top(node.top):
-                    inert.append("top")
-                if not is_top(node.bot):
-                    inert.append("bot")
+            inert = [
+                name for name, value in (("top", node.top), ("bot", node.bot))
+                if not is_top(value) and (name == "bot" or node is not tree.root)
+            ]
             if inert:
                 notes.append(
                     f"note: {'/'.join(inert)} features on inactive node"

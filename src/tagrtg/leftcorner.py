@@ -41,13 +41,16 @@ def _map_sites(sites: dict, tree: DerivTree, landing) -> DerivTree:
     """Map a derivation tree site by site, starting at a substitution site.
 
     Adjunction sites keep their trees and are mapped slot by slot;
-    `landing(sub, hole)` maps the subtree at a substitution site and
-    calls `hole(kind, child)` on each slot below it.
+    `landing(sub, fill)` maps the subtree at a substitution site and
+    calls `fill(kinds, children)` to map the slots below it.
     """
+
+    def fill(kinds: tuple[str, ...], children: tuple[DerivTree, ...]) -> tuple:
+        return tuple(map(hole, kinds, children))
 
     def hole(kind: str, sub: DerivTree) -> DerivTree:
         if kind != "adj":
-            return landing(sub, hole)
+            return landing(sub, fill)
         if sub.label == EPS_ADJOIN:
             _check_arity(sub, 0)
             return sub
@@ -55,12 +58,9 @@ def _map_sites(sites: dict, tree: DerivTree, landing) -> DerivTree:
         if info.tree_kind != "auxiliary":
             raise MalformedLcTree(f"adjunction site holds initial tree {sub.label!r}")
         _check_arity(sub, len(info.slot_kinds))
-        return DerivTree(
-            sub.label,
-            tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-        )
+        return DerivTree(sub.label, fill(info.slot_kinds, sub.children))
 
-    return landing(tree, hole)
+    return landing(tree, fill)
 
 
 def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
@@ -76,7 +76,7 @@ def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'lc'")
     sites = grammar.index.sites
 
-    def landing(sub: DerivTree, hole) -> DerivTree:
+    def landing(sub: DerivTree, fill) -> DerivTree:
         if sub.label != EPS_SUBST:
             info = _site(sites, sub.label, "expected e_S or an initial tree")
             if info.tree_kind != "initial" or info.root_active:
@@ -84,10 +84,7 @@ def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
                     f"substitution site holds {sub.label!r} instead of e_S"
                 )
             _check_arity(sub, len(info.slot_kinds))
-            return DerivTree(
-                sub.label,
-                tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-            )
+            return DerivTree(sub.label, fill(info.slot_kinds, sub.children))
         _check_arity(sub, 1)
         stacked = DerivTree(EPS_ADJOIN)
         sub = sub.children[0]
@@ -100,11 +97,9 @@ def lc_inverse(grammar: FbRtg, tree: DerivTree) -> DerivTree:
                         f"initial tree {sub.label!r} cannot land an adjunction chain"
                     )
                 _check_arity(sub, len(rest))
-                others = tuple(hole(k, c) for k, c in zip(rest, sub.children))
-                return DerivTree(sub.label, (stacked,) + others)
+                return DerivTree(sub.label, (stacked,) + fill(rest, sub.children))
             _check_arity(sub, len(rest) + 1)
-            others = tuple(hole(k, c) for k, c in zip(rest, sub.children[1:]))
-            stacked = DerivTree(sub.label, (stacked,) + others)
+            stacked = DerivTree(sub.label, (stacked,) + fill(rest, sub.children[1:]))
             sub = sub.children[0]
 
     return _map_sites(sites, tree, landing)
@@ -120,27 +115,21 @@ def lc_image(grammar: FbRtg, tree: DerivTree) -> DerivTree:
         raise GrammarError(f"grammar is in {grammar.form!r} form, not 'standard'")
     sites = grammar.index.sites
 
-    def landing(sub: DerivTree, hole) -> DerivTree:
+    def landing(sub: DerivTree, fill) -> DerivTree:
         info = _site(sites, sub.label, "expected an initial tree")
         if info.tree_kind != "initial":
             raise MalformedLcTree(f"substitution site holds {sub.label!r}")
         _check_arity(sub, len(info.slot_kinds))
         if not info.root_active:
-            return DerivTree(
-                sub.label,
-                tuple(hole(k, c) for k, c in zip(info.slot_kinds, sub.children)),
-            )
-        others = tuple(hole(k, c) for k, c in zip(info.slot_kinds[1:], sub.children[1:]))
-        grown = DerivTree(sub.label, others)
+            return DerivTree(sub.label, fill(info.slot_kinds, sub.children))
+        grown = DerivTree(sub.label, fill(info.slot_kinds[1:], sub.children[1:]))
         stack = sub.children[0]
         while stack.label != EPS_ADJOIN:
             info = _site(sites, stack.label, "expected a root adjunction")
             if info.tree_kind != "auxiliary":
                 raise MalformedLcTree(f"root adjunction holds {stack.label!r}")
             _check_arity(stack, len(info.slot_kinds))
-            others = tuple(
-                hole(k, c) for k, c in zip(info.slot_kinds[1:], stack.children[1:])
-            )
+            others = fill(info.slot_kinds[1:], stack.children[1:])
             grown = DerivTree(stack.label, (grown,) + others)
             stack = stack.children[0]
         _check_arity(stack, 0)

@@ -15,6 +15,7 @@ through the nodes they share; backtracking undoes the kernel's trail.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterator, Optional
@@ -426,9 +427,7 @@ class CheckResult:
 def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
     """Walk the tree in preorder; only a bad node's address is built."""
     ranks = grammar.index.ranks
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in tree.nodes():
         rank = ranks.get(node.label)
         if rank != len(node.children):
             pos = next(where for where, seen in tree.positions() if seen is node)
@@ -438,7 +437,6 @@ def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
                 f"terminal {node.label!r} at {pos} has rank {rank}, "
                 f"found {len(node.children)} children"
             )
-        stack.extend(reversed(node.children))
 
 
 def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
@@ -491,14 +489,11 @@ def accepts(grammar: FbRtg, tree: DerivTree) -> bool:
 
 def erase_features(grammar: FbRtg) -> FbRtg:
     """Forget every constraint; duplicate rule skeletons collapse."""
-    seen = set()
-    rules = []
-    for rule in grammar.rules:
-        bare = FbRule(rule.lhs, (), rule.terminal, tuple((nt, ()) for nt, _ in rule.rhs))
-        if bare not in seen:
-            seen.add(bare)
-            rules.append(bare)
-    return replace(grammar, rules=tuple(rules))
+    bare = dict.fromkeys(
+        FbRule(rule.lhs, (), rule.terminal, tuple((nt, ()) for nt, _ in rule.rhs))
+        for rule in grammar.rules
+    )
+    return replace(grammar, rules=tuple(bare))
 
 
 def _erasable_positions(
@@ -514,16 +509,14 @@ def _erasable_positions(
     slot; a rule has it when the tree's site kinds are as many as its
     slots.
     """
-    by_lhs: dict[Nonterminal, list[FbRule]] = {}
-    for rule in rules:
-        by_lhs.setdefault(rule.lhs, []).append(rule)
+    count = Counter(rule.lhs for rule in rules)
     epsilon = {
-        nt: own[0]
-        for nt, own in by_lhs.items()
-        if nt.endswith(ADJOIN_SUFFIX)
-        and len(own) == 1
-        and own[0].terminal == EPS_ADJOIN
-        and not own[0].rhs
+        rule.lhs: rule
+        for rule in rules
+        if rule.lhs.endswith(ADJOIN_SUFFIX)
+        and count[rule.lhs] == 1
+        and rule.terminal == EPS_ADJOIN
+        and not rule.rhs
     }
     positions: dict[str, set[int]] = {}
     for rule in rules:
@@ -537,10 +530,7 @@ def _erasable_positions(
                 and len(info.slot_kinds) == rule.rank
             ):
                 here.discard(1)
-        if rule.terminal in positions:
-            positions[rule.terminal] &= here
-        else:
-            positions[rule.terminal] = here
+        positions.setdefault(rule.terminal, here).intersection_update(here)
     return {t: p for t, p in positions.items() if p}, epsilon
 
 
@@ -673,15 +663,13 @@ def reduce_grammar(grammar: FbRtg) -> FbRtg:
     ranked = {nt: i for i, nt in enumerate(order)}
     rules = [r for r in rules if r.lhs in ranked]
 
-    nts = list(order)
     declared = set(grammar.nonterminals)
-    listed = set(order)
+    nts = dict.fromkeys(order)
     for nt in order:
         if nt.endswith(ADJOIN_SUFFIX):
             partner = nt.removesuffix(ADJOIN_SUFFIX) + SUBST_SUFFIX
-            if partner in declared and partner not in listed:
-                listed.add(partner)
-                nts.append(partner)
+            if partner in declared:
+                nts.setdefault(partner)
     # Stable sort keeps the original relative order inside each group.
     rules.sort(key=lambda r: ranked[r.lhs])
     used = {r.terminal for r in rules}

@@ -41,6 +41,7 @@ FORMAT_VERSION = 1
 
 _FORMS = ("standard", "lc")
 _KINDS = ("initial", "auxiliary")
+_SLOT_KINDS = frozenset(("adj", "subst"))
 
 
 class RtgParseError(ValueError):
@@ -153,6 +154,8 @@ def _parse_site(text: str, line: int) -> tuple[str, SiteInfo]:
         raise RtgParseError(f"bad site description {spec!r}", line)
     inner = spec[open_paren + 1 : -1].strip()
     kinds = tuple(k.strip() for k in inner.split(",")) if inner else ()
+    if not _SLOT_KINDS.issuperset(kinds):
+        raise RtgParseError(f"bad site description {spec!r}", line)
     return name, SiteInfo(words[0], words[1] == "active", kinds)
 
 

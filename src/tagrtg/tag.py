@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from tagrtg.features import (
     TOP,
@@ -36,7 +36,7 @@ class NodeKind(enum.Enum):
 ACTIVE_KINDS = (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeNode(ValueTree):
     label: str
     kind: NodeKind = NodeKind.INTERNAL
@@ -51,13 +51,8 @@ class TreeNode(ValueTree):
     def is_active(self) -> bool:
         return self.kind in ACTIVE_KINDS
 
-    def nodes(self) -> Iterator[TreeNode]:
-        """Preorder traversal, root first, over an explicit stack."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+    def __str__(self) -> str:
+        return _format_node(self)
 
 
 @dataclass(frozen=True)
@@ -66,19 +61,16 @@ class ElemTree:
     auxiliary: bool
     root: TreeNode
 
-    def nodes(self) -> Iterator[TreeNode]:
-        return self.root.nodes()
-
     def active_nodes(self) -> tuple[TreeNode, ...]:
         """The sites in preorder; for trees with an active root it comes first."""
-        return tuple(node for node in self.nodes() if node.is_active)
+        return tuple(node for node in self.root.nodes() if node.is_active)
 
     @property
     def root_active(self) -> bool:
         return self.root.is_active
 
     def foot(self) -> Optional[TreeNode]:
-        for node in self.nodes():
+        for node in self.root.nodes():
             if node.kind is NodeKind.FOOT:
                 return node
         return None
@@ -124,7 +116,7 @@ class Tag:
             if tree.name.startswith("#"):
                 raise ValidationError(f"{where}: a tree name cannot start with '#'")
             names.add(tree.name)
-            feet = [n for n in tree.nodes() if n.kind is NodeKind.FOOT]
+            feet = [n for n in tree.root.nodes() if n.kind is NodeKind.FOOT]
             if tree.auxiliary:
                 if len(feet) != 1:
                     raise ValidationError(f"auxiliary {where} needs exactly one foot node")
@@ -132,7 +124,7 @@ class Tag:
                     raise ValidationError(f"{where}: foot label must match root label")
             elif feet:
                 raise ValidationError(f"initial {where} cannot contain a foot node")
-            for node in tree.nodes():
+            for node in tree.root.nodes():
                 what = f"{where}, node {node.label!r}"
                 if node.kind in (NodeKind.SUBSTITUTION, NodeKind.FOOT, NodeKind.ANCHOR):
                     if node.children:

@@ -95,12 +95,7 @@ def interface_var(tree: ElemTree) -> str:
 
 
 def _pair(top, bot) -> Avm:
-    entries = []
-    if not is_top(top):
-        entries.append(("top", top))
-    if not is_top(bot):
-        entries.append(("bot", bot))
-    return Avm(tuple(entries))
+    return Avm((("top", top), ("bot", bot)))
 
 
 def _constraint(*terms) -> Constraint:

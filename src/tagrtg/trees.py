@@ -20,9 +20,9 @@ def child_position(parent: str, index: int) -> str:
 
 
 class ValueTree:
-    """Equality and hashing by value, over explicit stacks so that trees
-    of any depth compare; `_head` is what a node holds besides its
-    `children`."""
+    """Value equality, hashing, preorder and `repr` over explicit stacks,
+    so that trees of any depth compare and print; `_head` is what a node
+    holds besides its `children`."""
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -38,15 +38,21 @@ class ValueTree:
 
     def __hash__(self) -> int:
         # Each node's head and arity in preorder spell out the tree.
-        parts, stack = [], [self]
+        return hash(tuple((node._head(), len(node.children)) for node in self.nodes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self}>"
+
+    def nodes(self) -> Iterator[ValueTree]:
+        """Preorder traversal, root first, over an explicit stack."""
+        stack = [self]
         while stack:
             node = stack.pop()
-            parts.append((node._head(), len(node.children)))
+            yield node
             stack += reversed(node.children)
-        return hash(tuple(parts))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DerivTree(ValueTree):
     label: str
     children: tuple[DerivTree, ...] = ()

@@ -338,6 +338,20 @@ def test_stats_flags_inert_features_and_missing_lc(tmp_path, capsys):
     assert "note: top features on inactive node 'Y' of 'n' are ignored" in out
     assert "note: bot features on inactive node 'X' of 'w' are ignored" in out
 
+    # An inner node's top and bottom are both ignored; an inactive
+    # root's top is the tree's interface, so it draws no note.
+    notes = tmp_path / "notes.tag"
+    notes.write_text(
+        "start: S;\n"
+        'initial r { (S top=[f: a] (word "r")) }\n'
+        'initial i { (S (Y top=[f: a] bot=[g: b] (word "i"))) }\n'
+    )
+    assert main(["stats", str(notes)]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("note:")] == [
+        "note: top/bot features on inactive node 'Y' of 'i' are ignored"
+    ]
+
     clash = tmp_path / "clash.tag"
     clash.write_text(
         "start: S;\n"

@@ -307,6 +307,20 @@ def _toy_grammar():
     )
 
 
+def test_erasure_keeps_the_first_of_equal_skeletons():
+    x, y = Nonterminal("X"), Nonterminal("Y")
+    rules = (
+        FbRule(x, (parse_feature("[f: a]"),), "t", ((y, (parse_feature("[g: b]"),)),)),
+        FbRule(y, (), "u", ()),
+        FbRule(x, (parse_feature("[f: c]"),), "t", ((y, ()),)),
+    )
+    grammar = FbRtg(x, (x, y), (("t", 1), ("u", 0)), rules)
+    assert erase_features(grammar).rules == (
+        FbRule(x, (), "t", ((y, ()),)),
+        FbRule(y, (), "u", ()),
+    )
+
+
 def test_reduce_eliminates_forced_empty_slots():
     reduced = reduce_grammar(_toy_grammar())
     by_terminal = {r.terminal: r for r in reduced.rules}

@@ -145,6 +145,14 @@ FISH = "NP_S [top: ?t] -> fish(NP_A [top: ?t]);"
         (lambda t: t.replace("axiom:", "axiom"), "expected 'axiom"),
         (lambda t: t.replace("caught/3", "caught/three"), "bad terminal"),
         (lambda t: t.replace("initial inactive", "initial sideways"), "bad site"),
+        (
+            lambda t: t.replace("(subst, adj, subst)", "(subst, ajd, subst)"),
+            "bad site description 'initial inactive (subst, ajd, subst)'",
+        ),
+        (
+            lambda t: t.replace("(subst, adj, subst)", "(subst, adj, subst,)"),
+            "bad site description 'initial inactive (subst, adj, subst,)'",
+        ),
         (lambda t: t.replace("-> e_A;", "e_A;"), "missing '->'"),
         (lambda t: t.replace("rules {", "rules {\n  NP_S -> ;"), "right-hand side"),
         (lambda t: t + "leftovers\n", "trailing content"),

@@ -63,7 +63,8 @@ def test_features_land_on_the_right_nodes(fig2):
 
 
 def test_anchors_are_leaves_with_word_labels(fig2):
-    anchors = [n.label for n in elem_tree(fig2, "one of").nodes() if n.kind is NodeKind.ANCHOR]
+    root = elem_tree(fig2, "one of").root
+    anchors = [n.label for n in root.nodes() if n.kind is NodeKind.ANCHOR]
     assert anchors == ["one", "of"]
 
 
@@ -136,6 +137,7 @@ def test_deep_elementary_trees_compare_and_hash():
     node, same = chain("a"), chain("a")
     assert node == same and hash(node) == hash(same)
     assert node != chain("b")
+    assert "(a)" in repr(node)
 
 
 @pytest.mark.parametrize("char", list("=/,;&()[]{}"))

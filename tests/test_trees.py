@@ -151,3 +151,4 @@ def test_deep_trees_compare_and_hash():
     tree, same = chain("a"), chain("a")
     assert tree == same and hash(tree) == hash(same)
     assert tree != chain("b")
+    assert "(a)" in repr(tree)
