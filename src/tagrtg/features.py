@@ -9,17 +9,17 @@ Unification runs on mutable feature nodes (Huet's union-find over
 feature graphs): a node is a variable or an AVM whose arcs live in a
 dict, and atoms stay `Atom`.  Unifying two nodes forwards one to the
 other's representative, so every path that shares a node sees what
-later unifications add to it.  Each forwarding and each added arc goes
-on a trail, and `undo` pops the trail back to a mark, so a search
-backtracks without copying.  `read_back` turns nodes into terms for
-output, and `bindings` reads the variables a trail bound into a
-`Substitution`.  The derivation engine unifies only on nodes, and so
-does reduction, which fires a grammar's own empty-adjunction rule on
-the trail and reads the constraints it keeps back through the same
-nodes.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are a
-term view on the same kernel that no library module calls; they stay
-here, off the package surface, for the unification law tests and the
-benchmark's tracer, which looks them up in this module by name.
+later unifications add to it.  Only a forwarding onto an AVM with arcs
+can close a cycle, so only then does the occurs check walk the result.
+Each forwarding and each added arc goes on a trail, and `undo` pops the
+trail back to a mark, so a search backtracks without copying.  A rule's
+fresh nodes come from a builder that `compile_builder` generates once
+per rule; `instantiate` builds them term by term.  `read_back` turns
+nodes into terms for output, and `bindings` reads the variables a trail
+bound into a `Substitution`.  `unify`, `unify_all`, `apply`, `compose`
+and `freshen` are a term view on the same kernel that no library module
+calls; they stay here, off the package surface, for the unification law
+tests and the benchmark's tracer, which looks them up by name.
 """
 
 from __future__ import annotations
@@ -165,16 +165,63 @@ def instantiate(term: FeatureTerm, prefix: Optional[str], names: dict[str, Node]
     return Node({key: instantiate(value, prefix, names) for key, value in term.entries})
 
 
+def compile_builder(positions: Iterable[Iterable[FeatureTerm]]):
+    """`instantiate` compiled once for a rule: a function of a Gorn
+    prefix that builds fresh nodes for every conjunct of every position,
+    in order, and returns one tuple of conjunct nodes per position.  Each
+    distinct variable v is one node named prefix.v; atoms are shared.
+
+    The source is flat, one assignment per AVM node in postorder, so any
+    nesting depth compiles.  Keys and variable names enter it only
+    through `repr`, and atoms through the function's namespace.
+    """
+    lines, names, atoms, namespace, out = [], {}, {}, {"Node": Node}, []
+    for conjuncts in positions:
+        refs = []
+        for conjunct in conjuncts:
+            # Postorder; `done` holds finished refs until their AVM takes them.
+            stack, done = [(conjunct, False)], []
+            while stack:
+                term, ready = stack.pop()
+                if type(term) is Atom:
+                    ref = atoms.setdefault(term, f"a{len(atoms)}")
+                    namespace.setdefault(ref, term)
+                elif type(term) is Var:
+                    ref = names.get(term.name)
+                    if ref is None:
+                        ref = names[term.name] = f"v{len(names)}"
+                        lines.append(f"{ref} = Node(None, prefix + {'.' + term.name!r})")
+                elif not ready:
+                    stack.append((term, True))
+                    stack.extend((value, False) for _, value in reversed(term.entries))
+                    continue
+                else:
+                    first = len(done) - len(term.entries)
+                    kids = zip(term.entries, done[first:])
+                    arcs = ", ".join(f"{key!r}: {kid}" for (key, _), kid in kids)
+                    del done[first:]
+                    ref = f"n{len(lines)}"
+                    lines.append(f"{ref} = Node({{{arcs}}})")
+                done.append(ref)
+            refs.append(done[0])
+        out.append("(" + "".join(ref + ", " for ref in refs) + ")")
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def build(prefix):\n{body}    return ({', '.join(out)},)\n", namespace)
+    return namespace["build"]
+
+
 def unify_nodes(a, b, trail: list) -> bool:
     """Unify two nodes in place, recording every change on `trail`.
 
     An empty AVM forwards to the other side, so a variable is never
     bound to top; a variable forwards to the other side; of two AVMs, b
     forwards to a, which gains b's missing arcs.  Fails on an atom clash
-    and, as the occurs check, when the result would be cyclic.  A failed
+    and, as the occurs check, when the result would be cyclic, which
+    only a forwarding onto an AVM node with arcs can make.  A failed
     call leaves partial changes on the trail for the caller to undo.
     """
-    return _merge(a, b, trail) and _acyclic(a, {})
+    merged = _merge(a, b, trail)
+    return merged == 1 or (merged == 2 and _acyclic(a, {}))
 
 
 def _rank(x):
@@ -186,10 +233,11 @@ def _rank(x):
 
 
 def _merge(a, b, trail):
+    """False on a clash, 2 if a forwarding landed on an AVM with arcs, else 1."""
     a = _deref(a)
     b = _deref(b)
     if a is b:
-        return True
+        return 1
     rank_a, rank_b = _rank(a), _rank(b)
     if rank_a < 2 or rank_b < 2:
         # The lower rank forwards, a on a tie, so top never binds a variable.
@@ -197,7 +245,7 @@ def _merge(a, b, trail):
             a, b = b, a
         a.ref = b
         trail.append(a)
-        return True
+        return 2 if type(b) is Node and b.arcs else 1
     if type(a) is not Node or type(b) is not Node:
         # Distinct atoms clash; so does an atom against an AVM with arcs.
         return type(a) is Atom and type(b) is Atom and a.name == b.name
@@ -211,7 +259,7 @@ def _merge(a, b, trail):
             trail.append((a, key))
         elif not _merge(mine, value, trail):
             return False
-    return True
+    return 2
 
 
 def _acyclic(node, state):
@@ -263,17 +311,21 @@ def bindings(trail: list, start: int = 0) -> Substitution:
     return Substitution(bound) if bound else IDENTITY
 
 
-def fold(conjuncts: Iterable[FeatureTerm], prefix: Optional[str], names: dict, trail: list):
-    """Instantiate and unify a conjunction left to right.  Returns its
-    node, None for the empty conjunction (top), or False on a clash."""
+def join(nodes: Iterable, trail: list):
+    """Unify a conjunction's nodes left to right.  Returns its node, None
+    for the empty conjunction (top), or False on a clash."""
     root = None
-    for conjunct in conjuncts:
-        node = instantiate(conjunct, prefix, names)
+    for node in nodes:
         if root is None:
             root = node
         elif not unify_nodes(root, node, trail):
             return False
     return root
+
+
+def fold(conjuncts: Iterable[FeatureTerm], prefix: Optional[str], names: dict, trail: list):
+    """Instantiate a conjunction and `join` it."""
+    return join([instantiate(conjunct, prefix, names) for conjunct in conjuncts], trail)
 
 
 def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substitution]]:

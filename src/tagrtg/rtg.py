@@ -7,9 +7,12 @@ grammars are the degenerate case where every constraint is empty.
 
 Rewriting is leftmost.  Variables are renamed apart by prefixing them
 with the Gorn address of the rewritten occurrence.  Open leaves carry
-feature nodes, and a rule's constraints are unified into them in place,
-so bindings made deep inside one subtree reach open leaves elsewhere
+feature nodes; each firing builds the rule's constraints with a builder
+compiled once per rule and unifies them into the leaf in place, so
+bindings made deep inside one subtree reach open leaves elsewhere
 through the nodes they share; backtracking undoes the kernel's trail.
+A check keeps only its verdict and step chains; the trace and the clash
+message are read back from them, or replayed, when first asked for.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from tagrtg.features import (
     FeatureTerm,
     Substitution,
     bindings,
+    compile_builder,
     fold,
     format_feature,
     instantiate,
     is_top,
+    join,
     read_back,
     undo,
     unify_nodes,
@@ -74,6 +79,12 @@ class FbRule:
         if self.lhs_feat or any(feat for _, feat in self.rhs):
             return None
         return (None,) * len(self.rhs)
+
+    @functools.cached_property
+    def builder(self):
+        """The `compile_builder` function of the rule's positions, left-hand
+        side first, compiled on first use, once per rule."""
+        return compile_builder((self.lhs_feat, *(feat for _, feat in self.rhs)))
 
     def __str__(self) -> str:
         left = _format_slot(self.lhs, self.lhs_feat)
@@ -180,26 +191,27 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     """Fire `rule` at an open leaf whose feature node is `leaf` (None
     stands for top).
 
-    Rule variables are renamed apart with the leaf's Gorn address.  The
-    left-hand constraint is folded and unified with the leaf, then each
-    slot constraint is folded in turn; variables shared between them are
-    shared nodes.  Returns the slot nodes, or None on a clash.  Bindings
-    go on `trail`, and the caller undoes them, on failure too.  A rule
-    without any constraint returns its all-top `top_slots` at once and
-    leaves the kernel and the trail untouched.
+    Rule variables are renamed apart with the leaf's Gorn address: the
+    rule's compiled `builder` makes fresh nodes for all its constraints
+    at once.  The left-hand constraint is joined and unified with the
+    leaf, then each slot constraint is joined in turn; variables shared
+    between them are shared nodes.  Returns the slot nodes, or None on a
+    clash.  Bindings go on `trail`, and the caller undoes them, on
+    failure too.  A rule without any constraint returns its all-top
+    `top_slots` at once and leaves the kernel and the trail untouched.
     """
     slots = rule.top_slots
     if slots is not None:
         return slots
-    names: dict = {}
-    lhs = fold(rule.lhs_feat, prefix, names, trail)
+    lhs, *feats = rule.builder(prefix)
+    lhs = join(lhs, trail)
     if lhs is False:
         return None
     if lhs is not None and leaf is not None and not unify_nodes(lhs, leaf, trail):
         return None
     slots = []
-    for _, feat in rule.rhs:
-        node = fold(feat, prefix, names, trail)
+    for nodes in feats:
+        node = join(nodes, trail)
         if node is False:
             return None
         slots.append(node)
@@ -213,8 +225,9 @@ def _derivations(grammar, root, expand, fail, trail, step=None):
     A leaf is (position, guide, nonterminal, feature node); the pending
     leaves form a linked list (leaf, rest).  `expand(index, leaf)`
     returns the rules to try at the leaf that step `index` rewrites, in
-    order, and the guides of a rule's slots; `fail(index, leaf, rule)`
-    hears of each rule that does not fire, with its bindings undone.
+    order, and the guides of a rule's slots; `fail(index, leaf, rule,
+    chain)` hears of each rule that does not fire, with its bindings
+    undone, and the chain of steps that led to the leaf.
     Each frame remembers the trail length it started at and undoes to
     it before each candidate and when it is popped.  A complete
     derivation comes out as a chain of steps (position, rule, trail
@@ -237,7 +250,7 @@ def _derivations(grammar, root, expand, fail, trail, step=None):
             slots = derive_step(rule, node, pos, trail)
             if slots is None:
                 undo(trail, mark)
-                fail(len(stack), leaf, rule)
+                fail(len(stack), leaf, rule, chain)
                 continue
             grown = [
                 (child_position(pos, i), guide, slot_nt, slot)
@@ -307,7 +320,7 @@ def enumerate_trees(
             rules = _counted(rules, stats)
         return rules, repeat(depth + 1)
 
-    def fail(index, leaf, rule):
+    def fail(index, leaf, rule, chain):
         if stats is not None:
             stats["failures"] += 1
 
@@ -361,9 +374,12 @@ class CheckResult:
 
     `accepted` and `failure_position` are set when the check returns.
     `steps` and `env` are read back from the accepting derivation's step
-    chain and trail when either is first read, and `failure` is formatted
-    from the deepest clash when it is first read; each is computed once.
+    chain and trail when either is first read; each is computed once.
     The result owns its trail: no later check touches the nodes on it.
+    The deepest clash is kept as its rule and the step chain that led to
+    it, and `failure` replays that chain when first read: each rule
+    fires again with `derive_step` on fresh nodes, root first, and the
+    node at the failure position is read back into the message.
     A rejected tree has no steps and the identity environment; an
     accepted one has no failure and no failure position.
     """
@@ -390,7 +406,16 @@ class CheckResult:
     def failure(self) -> Optional[str]:
         failure = self._failure
         if type(failure) is tuple:
-            rule, feat = failure
+            rule, chain = failure
+            links = []
+            while chain is not None:
+                links.append(chain)
+                chain = chain[3]
+            # The pending leaves' nodes, leftmost last, as in the search.
+            pending, trail = [None], []
+            for pos, fired, *_ in reversed(links):
+                pending[-1:] = reversed(derive_step(fired, pending[-1], pos, trail))
+            feat = read_back(pending[-1])
             failure = f"cannot apply {rule}: constraint clash with {format_feature(feat)}"
             self._failure = failure
         return failure
@@ -451,8 +476,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     """
     _check_alphabet(grammar, tree)
     by_shape = grammar.index.by_shape
-    # The leaf of a failed rule is read back only when that failure
-    # becomes the deepest; the result formats the message.
+    # The deepest failure keeps its rule and step chain, for the result.
     deepest = {"index": 0, "pos": ROOT, "msg": "no rule applied"}
 
     def note(index, pos, msg):
@@ -467,9 +491,8 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             return (), ()
         return rules, node.children
 
-    def fail(index, leaf, rule):
-        if index >= deepest["index"]:
-            note(index, leaf[0], (rule, read_back(leaf[3])))
+    def fail(index, leaf, rule, chain):
+        note(index, leaf[0], (rule, chain))
 
     trail: list = []
     derivations = _derivations(grammar, tree, expand, fail, trail)

@@ -17,6 +17,7 @@ from tagrtg.features import (
     Atom,
     Avm,
     FeatureSyntaxError,
+    Node,
     Substitution,
     Var,
     apply,
@@ -131,6 +132,23 @@ def test_occurs_check_rejects_cycles_through_shared_nodes():
     b = parse_feature("[f: [k: ?z], g: [k: ?y], h: ?y]")
     assert unify(a, b) is None
     assert unify(b, a) is None
+
+
+def test_occurs_check_rejects_merging_an_avm_with_one_below_it():
+    # v is bound to [k: c], then [g: ?v] takes v's arcs: g leads back to it.
+    names = {}
+    outer = instantiate(parse_feature("[g: ?v]"), None, names)
+    trail = []
+    assert unify_nodes(names["v"], instantiate(parse_feature("[k: c]"), None, {}), trail)
+    assert not unify_nodes(outer, names["v"], trail)
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_occurs_check_rejects_top_bound_to_the_avm_above_it(top_first):
+    top = Node({})
+    outer = Node({"g": top})
+    pair = (top, outer) if top_first else (outer, top)
+    assert not unify_nodes(*pair, [])
 
 
 def test_undo_restores_the_nodes():

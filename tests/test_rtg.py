@@ -10,12 +10,23 @@ import dataclasses
 
 import pytest
 
-from tagrtg.features import Atom, bindings, instantiate, parse_feature
+from tagrtg.features import (
+    Atom,
+    Avm,
+    Node,
+    Var,
+    bindings,
+    format_feature,
+    instantiate,
+    parse_feature,
+    read_back,
+)
 from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     FbRtg,
     FbRule,
+    GrammarError,
     Nonterminal,
     NonterminalMismatch,
     accepts,
@@ -26,9 +37,10 @@ from tagrtg.rtg import (
     reduce_grammar,
 )
 from tagrtg.rtg_io import format_rtg, parse_rtg
-from tagrtg.tag import parse_tag
+from tagrtg.tag import bundled_grammar, load_tag, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
+from test_acceptance import random_tag
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
 BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
@@ -52,6 +64,70 @@ def test_derive_step_freshens_with_the_position():
     # v is both top and bottom, so it denotes their unification.
     assert sigma.get("1.1.1.1.v") == parse_feature("[agr: 3sg, const: +]")
 
+    # Quotes and backslashes in attribute and variable names.
+    rule = FbRule("X", (parse_feature("""[a'b: ?v"\\, c"d\\: ?w']"""),), "f", ())
+    trail = []
+    assert derive_step(rule, _node("""[a'b: 3sg, c"d\\: [e\\'f: +]]"""), "2.1", trail) == ()
+    assert str(bindings(trail)) == """{2.1.v"\\ = 3sg, 2.1.w' = [e\\'f: +]}"""
+
+    # A constraint 450 AVMs deep; its innermost variable reaches the slot.
+    deep, leaf = Var("v"), Atom("3sg")
+    for _ in range(450):
+        deep, leaf = Avm((("a", deep),)), Node({"a": leaf})
+    rule = FbRule("X", (deep,), "f", (("Y", (Var("v"),)),))
+    trail = []
+    (slot,) = derive_step(rule, leaf, "1", trail)
+    assert read_back(slot) == Atom("3sg")
+    assert bindings(trail).get("1.v") == Atom("3sg")
+
+
+def _variable_nodes(term, node):
+    """(variable name, node) for each variable occurrence in `term`,
+    with `node` built for it."""
+    stack = [(term, node)]
+    while stack:
+        term, node = stack.pop()
+        if isinstance(term, Var):
+            yield term.name, node
+        elif isinstance(term, Avm):
+            stack.extend((value, node.arcs[key]) for key, value in term.entries)
+
+
+def test_compiled_builder_matches_instantiate():
+    tags = [load_tag(bundled_grammar("fig2"))] + [random_tag(seed) for seed in range(300)]
+    rules = shared = 0
+    for tag in tags:
+        for form in (to_fbrtg, lc_fbrtg):
+            try:
+                grammar = form(tag)
+            except GrammarError:
+                continue
+            for rule in grammar.rules + reduce_grammar(grammar).rules:
+                if rule.top_slots is not None:
+                    continue
+                positions = (rule.lhs_feat, *(feat for _, feat in rule.rhs))
+                names = {}
+                expected = [
+                    [format_feature(read_back(instantiate(c, "1.2", names))) for c in feat]
+                    for feat in positions
+                ]
+                built = rule.builder("1.2")
+                got = [[format_feature(read_back(n)) for n in nodes] for nodes in built]
+                assert got == expected
+                # One node per variable, across every position of the rule.
+                seen = {}
+                for feat, nodes in zip(positions, built):
+                    for term, node in zip(feat, nodes):
+                        for name, at in _variable_nodes(term, node):
+                            shared += name in seen
+                            assert seen.setdefault(name, at) is at
+                # Each call builds fresh nodes; only atoms are shared.
+                again = (n for nodes in rule.builder("1.2") for n in nodes)
+                for node, old in zip(again, (n for nodes in built for n in nodes)):
+                    assert (node is old) == (type(node) is Atom)
+                rules += 1
+    assert rules > 5000 and shared > 6000
+
 
 def test_derive_step_fails_on_clash():
     rule = FbRule("NP_A", (parse_feature("[bot: [const: -]]"),), "the", ())
@@ -65,7 +141,7 @@ def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
     trail = []
     assert derive_step(bound, leaf, "1", trail) == ()
     mark = len(trail)
-    monkeypatch.setattr("tagrtg.rtg.fold", _unexpected)
+    monkeypatch.setattr("tagrtg.rtg.join", _unexpected)
     assert derive_step(free, leaf, "1.1", trail) == (None,)
     assert len(trail) == mark > 0
 
@@ -118,14 +194,33 @@ def test_rejects_swapped_determiners_with_diagnostics(feature_grammar):
     assert "cannot apply" in result.failure
 
 
+# Two root rules of one shape: the first gets deeper before it fails.
+_TWO_ROOT_RULES = FbRtg(
+    "S",
+    ("S", "A", "B", "C"),
+    (("f", 1), ("g", 1), ("h", 0)),
+    (
+        FbRule("S", (), "f", (("A", (parse_feature("[v: a]"),)),)),
+        FbRule("S", (), "f", (("C", ()),)),
+        FbRule(
+            "A", (parse_feature("[v: ?x]"),), "g", (("B", (parse_feature("[u: ?x, w: ?z]"),)),)
+        ),
+        FbRule("B", (parse_feature("[u: b]"),), "h", ()),
+    ),
+)
+
+
 def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("tagrtg.rtg.bindings", _unexpected)
         patch.setattr("tagrtg.rtg.format_feature", _unexpected)
+        patch.setattr("tagrtg.rtg.read_back", _unexpected)
         good = accepts_detailed(feature_grammar, GOOD)
         bad = accepts_detailed(feature_grammar, BAD)
+        abandoned = accepts_detailed(_TWO_ROOT_RULES, parse_tree("f(g(h))"))
         assert (good.accepted, good.failure_position) == (True, None)
         assert (bad.accepted, bad.failure_position) == (False, "1.1.1")
+        assert (abandoned.accepted, abandoned.failure_position) == (False, "1.1")
     # Read after later checks on the same grammar, env before steps here
     # and steps before env on `good`, each twice.
     later = accepts_detailed(feature_grammar, GOOD)
@@ -144,6 +239,11 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
             "cannot apply NP_A [top: ?t, bot: [agr: ?x, const: -]] -> "
             "the(NP_A [top: ?t, bot: [agr: ?x, const: +, def: +]]): "
             "constraint clash with [top: [agr: ?ε.x], bot: [agr: 3sg, const: +]]"
+        )
+        # The deepest clash lies under the first root rule, whose bindings
+        # the search undid before it tried the second.
+        assert abandoned.failure == (
+            "cannot apply B [u: b] -> h: constraint clash with [u: a, w: ?1.z]"
         )
     with pytest.raises(AttributeError):
         good.accepted = False
