@@ -125,7 +125,8 @@ def cmd_stats(args) -> int:
     else:
         print(f"left-corner translation: {len(lc.rules)} rules,"
               f" {len(lc.nonterminals)} nonterminals")
-        print(f"growth ratio: {len(lc.rules) / len(standard.rules):.2f}")
+        ratio = f"{len(lc.rules) / len(standard.rules):.2f}" if standard.rules else "n/a"
+        print(f"growth ratio: {ratio}")
     for note in _inert_feature_notes(tag):
         print(note)
     return 0

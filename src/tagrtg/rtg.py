@@ -5,14 +5,15 @@ slots.  Every position carries a constraint: a conjunction of feature
 terms that is folded by unification when the rule fires.  Plain
 grammars are the degenerate case where every constraint is empty.
 
-Rewriting is leftmost.  Variables are renamed apart by prefixing them
-with the Gorn address of the rewritten occurrence.  Open leaves carry
-feature nodes; each firing builds the rule's constraints with a builder
-compiled once per rule and unifies them into the leaf in place, so
-bindings made deep inside one subtree reach open leaves elsewhere
-through the nodes they share; backtracking undoes the kernel's trail.
-A check keeps only its verdict and step chains; the trace and the clash
-message are read back from them, or replayed, when first asked for.
+Rewriting is leftmost.  Open leaves carry feature nodes; each firing
+builds the rule's constraints with a builder compiled once per rule and
+unifies them into the leaf in place, so bindings made deep inside one
+subtree reach open leaves elsewhere through the nodes they share;
+backtracking undoes the kernel's trail.  The search decides only the
+verdict and keeps a chain of the rules that fired.  Everything a person
+reads, the trace with its Gorn addresses, the environment and the clash
+message, comes from replaying that chain on fresh nodes whose variables
+are renamed apart by the address of the leaf their rule rewrote.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, Optional
 
 from tagrtg.features import (
+    IDENTITY,
     Avm,
     FeatureTerm,
     Substitution,
@@ -191,14 +193,16 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     """Fire `rule` at an open leaf whose feature node is `leaf` (None
     stands for top).
 
-    Rule variables are renamed apart with the leaf's Gorn address: the
-    rule's compiled `builder` makes fresh nodes for all its constraints
-    at once.  The left-hand constraint is joined and unified with the
-    leaf, then each slot constraint is joined in turn; variables shared
-    between them are shared nodes.  Returns the slot nodes, or None on a
-    clash.  Bindings go on `trail`, and the caller undoes them, on
-    failure too.  A rule without any constraint returns its all-top
-    `top_slots` at once and leaves the kernel and the trail untouched.
+    The rule's compiled `builder` makes fresh nodes for all its
+    constraints at once, each variable v named `prefix`.v.  The left-hand
+    constraint is joined and unified with the leaf, then each slot
+    constraint is joined in turn; variables shared between them are
+    shared nodes.  Returns the slot nodes, or None on a clash.  Bindings
+    go on `trail`, and the caller undoes them, on failure too.  A rule
+    without any constraint returns its all-top `top_slots` at once and
+    leaves the kernel and the trail untouched.  Names matter only to what
+    reads nodes back, so a search passes an empty prefix and `_replay`
+    the leaf's Gorn address.
     """
     slots = rule.top_slots
     if slots is not None:
@@ -218,57 +222,52 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     return tuple(slots)
 
 
-def _derivations(grammar, root, expand, fail, trail, step=None):
+def _derivations(grammar, root, expand, fail, step=None):
     """Every leftmost derivation from the axiom, depth first, backtracking
     over an explicit stack of frames, one per rewrite on the current path.
 
-    A leaf is (position, guide, nonterminal, feature node); the pending
-    leaves form a linked list (leaf, rest).  `expand(index, leaf)`
-    returns the rules to try at the leaf that step `index` rewrites, in
-    order, and the guides of a rule's slots; `fail(index, leaf, rule,
-    chain)` hears of each rule that does not fire, with its bindings
-    undone, and the chain of steps that led to the leaf.
-    Each frame remembers the trail length it started at and undoes to
-    it before each candidate and when it is popped.  A complete
-    derivation comes out as a chain of steps (position, rule, trail
-    mark, previous step, value), last step first, with its bindings
-    still on `trail`; step k made the bindings between its mark and the
-    next.  Without `step` every value is None; with it, a step's value
-    is `step(value of the previous step, rule)`, computed once, when the
-    step fires, and shared by every derivation that extends it.  Closing
-    the generator after it yields leaves that derivation's bindings on
-    `trail`, for the caller to read back.
+    The search decides only which rules fire: it keeps no addresses and
+    names no variables.  A leaf is (guide, nonterminal, feature node);
+    the pending leaves form a linked list (leaf, rest).  A step is (rule,
+    previous step, value), so the steps that led to a leaf form a chain,
+    last step first.  `expand(index, leaf)` returns the rules to try at
+    the leaf that step `index` rewrites, in order, and the guides of a
+    rule's slots; `fail(index, leaf, rule, chain)` hears of each rule
+    that does not fire, with its bindings undone, and the chain that led
+    to the leaf.  Each frame
+    remembers the length of the search's trail when it started and
+    undoes to it before each candidate and when it is popped.  A complete
+    derivation comes out as its chain.  Without `step` every value is
+    None; with it, a step's value is `step(value of the previous step,
+    rule)`, computed once, when the step fires, and shared by every
+    derivation that extends it.
     """
-    leaf = (ROOT, root, grammar.axiom, None)
+    leaf = (root, grammar.axiom, None)
     rules, guides = expand(1, leaf)
-    stack = [(iter(rules), leaf, None, None, None, guides, len(trail))]
+    trail: list = []
+    stack = [(iter(rules), leaf, None, None, None, guides, 0)]
     while stack:
         rules, leaf, pending, chain, value, guides, mark = stack[-1]
-        pos, _, _, node = leaf
+        node = leaf[2]
         for rule in rules:
             undo(trail, mark)
-            slots = derive_step(rule, node, pos, trail)
+            slots = derive_step(rule, node, "", trail)
             if slots is None:
                 undo(trail, mark)
                 fail(len(stack), leaf, rule, chain)
                 continue
-            grown = [
-                (child_position(pos, i), guide, slot_nt, slot)
-                for i, ((slot_nt, _), slot, guide) in enumerate(
-                    zip(rule.rhs, slots, guides), start=1
-                )
-            ]
+            grown = [(guide, nt, slot) for (nt, _), slot, guide in zip(rule.rhs, slots, guides)]
             rest = pending
             for kid in reversed(grown):
                 rest = (kid, rest)
-            link = (pos, rule, mark, chain, None if step is None else step(value, rule))
+            link = (rule, chain, None if step is None else step(value, rule))
             if rest is None:
                 yield link
                 continue
             below, rest = rest
             below_rules, below_guides = expand(len(stack) + 1, below)
             stack.append(
-                (iter(below_rules), below, rest, link, link[4], below_guides, len(trail))
+                (iter(below_rules), below, rest, link, link[2], below_guides, len(trail))
             )
             break
         else:
@@ -276,12 +275,25 @@ def _derivations(grammar, root, expand, fail, trail, step=None):
             stack.pop()
 
 
-def _counted(rules, stats):
-    """Count each rule as attempted when the engine takes it, so a run
-    that stops early counts only what it tried."""
-    for rule in rules:
-        stats["steps"] += 1
-        yield rule
+def _replay(chain, trail: list):
+    """Fire the rules of a step chain again, root first, with `derive_step`
+    on fresh nodes named by their Gorn addresses.  Returns the open
+    leaves after the last step, as (address, feature node), leftmost
+    last, and the steps, each traced with the bindings it made, read back
+    before the next step fires.
+    """
+    rules = []
+    while chain is not None:
+        rules.append(chain[0])
+        chain = chain[1]
+    pending, steps = [(ROOT, None)], []
+    for index, rule in enumerate(reversed(rules), start=1):
+        pos, node = pending.pop()
+        mark = len(trail)
+        slots = derive_step(rule, node, pos, trail)
+        steps.append(TraceStep(index, pos, rule, bindings(trail, mark)))
+        pending += reversed([(child_position(pos, i), s) for i, s in enumerate(slots, start=1)])
+    return pending, tuple(steps)
 
 
 def enumerate_trees(
@@ -314,14 +326,14 @@ def enumerate_trees(
     leaves = {r.terminal: DerivTree(r.terminal) for r in grammar.rules if not r.rhs}
 
     def expand(index, leaf):
-        _, depth, nt, _ = leaf
+        depth, nt, _ = leaf
         rules = by_lhs.get(nt, ()) if depth < max_depth else leaf_rules.get(nt, ())
-        if stats is not None:
-            rules = _counted(rules, stats)
         return rules, repeat(depth + 1)
 
+    # Every rule the engine takes either fires (`grow`) or fails.
     def fail(index, leaf, rule, chain):
         if stats is not None:
+            stats["steps"] += 1
             stats["failures"] += 1
 
     def grow(tree, rule):
@@ -329,6 +341,8 @@ def enumerate_trees(
         # children, parent), None below the root.  Leftmost steps come in
         # preorder, so a leaf closes every open node it completes; the
         # step that closes the root gives the finished tree.
+        if stats is not None:
+            stats["steps"] += 1
         if rule.rhs:
             return (rule.terminal, len(rule.rhs), (), tree)
         done = leaves[rule.terminal]
@@ -341,7 +355,7 @@ def enumerate_trees(
             tree = parent
         return done
 
-    trees = (link[4] for link in _derivations(grammar, 1, expand, fail, [], grow))
+    trees = (link[2] for link in _derivations(grammar, 1, expand, fail, grow))
     if all(len(rules) == 1 for rules in grammar.index.by_shape.values()):
         yield from trees
         return
@@ -373,26 +387,23 @@ class CheckResult:
     """The outcome of `accepts_detailed`, verdict first and read-only.
 
     `accepted` and `failure_position` are set when the check returns.
-    `steps` and `env` are read back from the accepting derivation's step
-    chain and trail when either is first read; each is computed once.
-    The result owns its trail: no later check touches the nodes on it.
-    The deepest clash is kept as its rule and the step chain that led to
-    it, and `failure` replays that chain when first read: each rule
-    fires again with `derive_step` on fresh nodes, root first, and the
-    node at the failure position is read back into the message.
-    A rejected tree has no steps and the identity environment; an
-    accepted one has no failure and no failure position.
+    Besides them the result keeps one step chain: the accepting
+    derivation's, or the one that led to the deepest failure, with the
+    rule that clashed there or why no rule applied.  `steps`, `env` and
+    `failure` all come from one `_replay` of that chain, run when the
+    first of them is read.  A rejected tree has no steps and
+    the identity environment; an accepted one has no failure and no
+    failure position.
     """
 
-    __slots__ = ("_accepted", "_failure_position", "_failure", "_chain", "_trail", "_trace")
+    __slots__ = ("_accepted", "_failure_position", "_chain", "_failure", "_replayed")
 
-    def __init__(self, accepted: bool, failure_position, failure, chain, trail: list):
+    def __init__(self, accepted: bool, failure_position, chain, failure):
         self._accepted = accepted
         self._failure_position = failure_position
-        self._failure = failure
         self._chain = chain
-        self._trail = trail
-        self._trace = None
+        self._failure = failure
+        self._replayed = None
 
     @property
     def accepted(self) -> bool:
@@ -404,49 +415,30 @@ class CheckResult:
 
     @property
     def failure(self) -> Optional[str]:
-        failure = self._failure
-        if type(failure) is tuple:
-            rule, chain = failure
-            links = []
-            while chain is not None:
-                links.append(chain)
-                chain = chain[3]
-            # The pending leaves' nodes, leftmost last, as in the search.
-            pending, trail = [None], []
-            for pos, fired, *_ in reversed(links):
-                pending[-1:] = reversed(derive_step(fired, pending[-1], pos, trail))
-            feat = read_back(pending[-1])
-            failure = f"cannot apply {rule}: constraint clash with {format_feature(feat)}"
-            self._failure = failure
-        return failure
+        return self._replay()[2]
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
-        return self._read_back()[0]
+        return self._replay()[0]
 
     @property
     def env(self) -> Substitution:
-        return self._read_back()[1]
+        return self._replay()[1]
 
-    def _read_back(self) -> tuple[tuple[TraceStep, ...], Substitution]:
-        if self._trace is None:
-            trail = self._trail
-            env = bindings(trail)
-            # Walk the chain backwards: each step's bindings are the trail
-            # segment it added, read back before the segment is undone.
-            links = []
-            chain = self._chain
-            while chain is not None:
-                pos, rule, mark, chain, _ = chain
-                links.append((pos, rule, bindings(trail, mark)))
-                undo(trail, mark)
-            steps = tuple(
-                TraceStep(index, pos, rule, delta)
-                for index, (pos, rule, delta) in enumerate(reversed(links), start=1)
-            )
-            self._trace = (steps, env)
-            self._chain = self._trail = None
-        return self._trace
+    def _replay(self) -> tuple[tuple[TraceStep, ...], Substitution, Optional[str]]:
+        if self._replayed is None:
+            failure, trail = self._failure, []
+            if self._accepted:
+                steps = _replay(self._chain, trail)[1]
+                self._replayed = (steps, bindings(trail), None)
+            else:
+                if type(failure) is not str:
+                    leaf = _replay(self._chain, trail)[0][-1][1]
+                    feat = format_feature(read_back(leaf))
+                    failure = f"cannot apply {failure}: constraint clash with {feat}"
+                self._replayed = ((), IDENTITY, failure)
+            self._chain = self._failure = None
+        return self._replayed
 
 
 def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
@@ -476,31 +468,32 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     """
     _check_alphabet(grammar, tree)
     by_shape = grammar.index.by_shape
-    # The deepest failure keeps its rule and step chain, for the result.
-    deepest = {"index": 0, "pos": ROOT, "msg": "no rule applied"}
-
-    def note(index, pos, msg):
-        if index >= deepest["index"]:
-            deepest.update(index=index, pos=pos, msg=msg)
+    # The deepest failure: its step index, and the rule that clashed there
+    # with the chain that led to its leaf, or why no rule applied.
+    deepest = [1, None, "no rule applied"]
 
     def expand(index, leaf):
-        pos, node, nt, _ = leaf
+        node, nt, _ = leaf
         rules = by_shape.get((nt, node.label, len(node.children)))
         if not rules:
-            note(index, pos, f"no rule rewrites {nt} to {node.label!r}")
+            if index >= deepest[0]:
+                deepest[:] = index, None, f"no rule rewrites {nt} to {node.label!r}"
             return (), ()
         return rules, node.children
 
     def fail(index, leaf, rule, chain):
-        note(index, leaf[0], (rule, chain))
+        if index >= deepest[0]:
+            deepest[:] = index, chain, rule
 
-    trail: list = []
-    derivations = _derivations(grammar, tree, expand, fail, trail)
+    derivations = _derivations(grammar, tree, expand, fail)
     chain = next(derivations, None)
     derivations.close()
     if chain is None:
-        return CheckResult(False, deepest["pos"], deepest["msg"], None, trail)
-    return CheckResult(True, None, None, chain, trail)
+        index, chain, failure = deepest
+        # The search rewrites the tree's nodes in preorder, one per step.
+        position = next(islice(tree.positions(), index - 1, None))[0]
+        return CheckResult(False, position, chain, failure)
+    return CheckResult(True, None, chain, None)
 
 
 def accepts(grammar: FbRtg, tree: DerivTree) -> bool:

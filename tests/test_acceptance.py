@@ -345,17 +345,17 @@ def _rebuilt_enumeration(grammar, max_depth):
     by_lhs = grammar.index.by_lhs
 
     def expand(index, leaf):
-        _, depth, nt, _ = leaf
+        depth, nt, _ = leaf
         rules = by_lhs.get(nt, ())
         if depth >= max_depth:
             rules = [r for r in rules if not r.rhs]
         return rules, repeat(depth + 1)
 
     seen, trees = set(), []
-    for chain in _derivations(grammar, 1, expand, lambda *_: None, []):
+    for chain in _derivations(grammar, 1, expand, lambda *_: None):
         built = []
         while chain is not None:
-            _, rule, _, chain, _ = chain
+            rule, chain, _ = chain
             built.append(DerivTree(rule.terminal, tuple(built.pop() for _ in rule.rhs)))
         if built[0] not in seen:
             seen.add(built[0])

@@ -325,6 +325,19 @@ def test_stats_reports_sizes_and_growth(capsys):
     )
 
 
+def test_stats_on_a_tag_without_trees_has_no_growth_ratio(tmp_path, capsys):
+    path = tmp_path / "empty.tag"
+    path.write_text("start: S;\n")
+    assert main(["stats", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "elementary trees: 0 (0 initial, 0 auxiliary)\n"
+        "symbols: 0\n"
+        "standard translation: 0 rules, 1 nonterminals\n"
+        "left-corner translation: 0 rules, 1 nonterminals\n"
+        "growth ratio: n/a\n"
+    )
+
+
 def test_stats_flags_inert_features_and_missing_lc(tmp_path, capsys):
     path = tmp_path / "odd.tag"
     path.write_text(

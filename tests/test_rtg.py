@@ -7,6 +7,7 @@ plain skeleton has 192 trees of height at most 4.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -215,7 +216,10 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
         patch.setattr("tagrtg.rtg.bindings", _unexpected)
         patch.setattr("tagrtg.rtg.format_feature", _unexpected)
         patch.setattr("tagrtg.rtg.read_back", _unexpected)
-        good = accepts_detailed(feature_grammar, GOOD)
+        with monkeypatch.context() as addresses:
+            # Only a rejection names a position; a search builds none.
+            addresses.setattr("tagrtg.rtg.child_position", _unexpected)
+            good = accepts_detailed(feature_grammar, GOOD)
         bad = accepts_detailed(feature_grammar, BAD)
         abandoned = accepts_detailed(_TWO_ROOT_RULES, parse_tree("f(g(h))"))
         assert (good.accepted, good.failure_position) == (True, None)
@@ -247,6 +251,21 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
         )
     with pytest.raises(AttributeError):
         good.accepted = False
+
+
+def test_a_verdict_takes_memory_linear_in_the_depth():
+    # One address string per open leaf made the peak grow with the
+    # square of the depth: about 16 MiB on this 4,000-level chain.
+    grammar = reduce_grammar(erase_features(to_fbrtg(load_tag(bundled_grammar("fig2")))))
+    depth = 4000
+    tree = parse_tree(f"caught(cats({'the(' * depth}e_A{')' * depth}), e_A, fish(e_A))")
+    tracemalloc.start()
+    try:
+        assert accepts_detailed(grammar, tree).accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_plain_grammar_accepts_both_skeletons(plain_grammar, feature_grammar):
