@@ -391,9 +391,9 @@ class CheckResult:
     derivation's, or the one that led to the deepest failure, with the
     rule that clashed there or why no rule applied.  `steps`, `env` and
     `failure` all come from one `_replay` of that chain, run when the
-    first of them is read.  A rejected tree has no steps and
-    the identity environment; an accepted one has no failure and no
-    failure position.
+    first of them is read.  A rejected tree has no steps and the
+    identity environment; an accepted one has no failure and no failure
+    position.
     """
 
     __slots__ = ("_accepted", "_failure_position", "_chain", "_failure", "_replayed")

@@ -254,8 +254,8 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
 
 
 def test_a_verdict_takes_memory_linear_in_the_depth():
-    # One address string per open leaf made the peak grow with the
-    # square of the depth: about 16 MiB on this 4,000-level chain.
+    # The search keeps no address per open leaf: those would make the
+    # peak grow with the square of the depth, about 16 MiB here.
     grammar = reduce_grammar(erase_features(to_fbrtg(load_tag(bundled_grammar("fig2")))))
     depth = 4000
     tree = parse_tree(f"caught(cats({'the(' * depth}e_A{')' * depth}), e_A, fish(e_A))")
