@@ -9,17 +9,17 @@ Unification runs on mutable feature nodes (Huet's union-find over
 feature graphs): a node is a variable or an AVM whose arcs live in a
 dict, and atoms stay `Atom`.  Unifying two nodes forwards one to the
 other's representative, so every path that shares a node sees what
-later unifications add to it.  Only a forwarding onto an AVM with arcs
-can close a cycle, so only then does the occurs check walk the result.
-Each forwarding and each added arc goes on a trail, and `undo` pops the
-trail back to a mark, so a search backtracks without copying.  A rule's
-fresh nodes come from a builder that `compile_builder` generates once
-per rule; `instantiate` builds them term by term.  `read_back` turns
-nodes into terms for output, and `bindings` reads the variables a trail
-bound into a `Substitution`.  `unify`, `unify_all`, `apply`, `compose`
-and `freshen` are a term view on the same kernel that no library module
-calls; they stay here, off the package surface, for the unification law
-tests and the benchmark's tracer, which looks them up by name.
+later unifications add to it.  After each unification the occurs check
+walks the result for a cycle.  Each forwarding and each added arc goes
+on a trail, and `undo` pops the trail back to a mark, so a search
+backtracks without copying.  A rule's fresh nodes come from a builder
+that `compile_builder` generates once per rule; `instantiate` builds
+them term by term.  `read_back` turns nodes into terms for output, and
+`bindings` reads the variables a trail bound into a `Substitution`.
+`unify`, `unify_all`, `apply`, `compose` and `freshen` are a term view
+on the same kernel that no library module calls; they stay here, off
+the package surface, for the unification law tests and the benchmark's
+tracer, which looks them up by name.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class Avm(FeatureTerm):
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Avm is immutable")
 
-    def get(self, key: str) -> Optional[FeatureTerm]:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Avm):
             return NotImplemented
@@ -102,9 +96,6 @@ class Substitution:
     """Finite map from variable names to feature terms."""
 
     bindings: dict[str, FeatureTerm] = field(default_factory=dict)
-
-    def get(self, name: str) -> Optional[FeatureTerm]:
-        return self.bindings.get(name)
 
     def is_identity(self) -> bool:
         return not self.bindings
@@ -216,12 +207,10 @@ def unify_nodes(a, b, trail: list) -> bool:
     An empty AVM forwards to the other side, so a variable is never
     bound to top; a variable forwards to the other side; of two AVMs, b
     forwards to a, which gains b's missing arcs.  Fails on an atom clash
-    and, as the occurs check, when the result would be cyclic, which
-    only a forwarding onto an AVM node with arcs can make.  A failed
-    call leaves partial changes on the trail for the caller to undo.
+    and, as the occurs check, when the result is cyclic.  A failed call
+    leaves partial changes on the trail for the caller to undo.
     """
-    merged = _merge(a, b, trail)
-    return merged == 1 or (merged == 2 and _acyclic(a, {}))
+    return _merge(a, b, trail) and _acyclic(a, {})
 
 
 def _rank(x):
@@ -232,12 +221,12 @@ def _rank(x):
     return 1 if arcs is None else 2 if arcs else 0
 
 
-def _merge(a, b, trail):
-    """False on a clash, 2 if a forwarding landed on an AVM with arcs, else 1."""
+def _merge(a, b, trail) -> bool:
+    """Merge two nodes without the occurs check; False on a clash."""
     a = _deref(a)
     b = _deref(b)
     if a is b:
-        return 1
+        return True
     rank_a, rank_b = _rank(a), _rank(b)
     if rank_a < 2 or rank_b < 2:
         # The lower rank forwards, a on a tie, so top never binds a variable.
@@ -245,7 +234,7 @@ def _merge(a, b, trail):
             a, b = b, a
         a.ref = b
         trail.append(a)
-        return 2 if type(b) is Node and b.arcs else 1
+        return True
     if type(a) is not Node or type(b) is not Node:
         # Distinct atoms clash; so does an atom against an AVM with arcs.
         return type(a) is Atom and type(b) is Atom and a.name == b.name
@@ -259,7 +248,7 @@ def _merge(a, b, trail):
             trail.append((a, key))
         elif not _merge(mine, value, trail):
             return False
-    return 2
+    return True
 
 
 def _acyclic(node, state):
@@ -323,9 +312,9 @@ def join(nodes: Iterable, trail: list):
     return root
 
 
-def fold(conjuncts: Iterable[FeatureTerm], prefix: Optional[str], names: dict, trail: list):
-    """Instantiate a conjunction and `join` it."""
-    return join([instantiate(conjunct, prefix, names) for conjunct in conjuncts], trail)
+def fold(conjuncts: Iterable[FeatureTerm], names: dict, trail: list):
+    """Instantiate a conjunction, its variables unprefixed, and `join` it."""
+    return join([instantiate(conjunct, None, names) for conjunct in conjuncts], trail)
 
 
 def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substitution]]:
@@ -342,7 +331,7 @@ def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substit
 def unify_all(conjuncts: Iterable[FeatureTerm]) -> Optional[tuple[FeatureTerm, Substitution]]:
     """Unify a conjunction left to right, starting from top."""
     trail: list = []
-    root = fold(conjuncts, None, {}, trail)
+    root = fold(conjuncts, {}, trail)
     if root is False:
         return None
     return read_back(root), bindings(trail)

@@ -232,9 +232,8 @@ def _derivations(grammar, root, expand, fail, step=None):
     previous step, value), so the steps that led to a leaf form a chain,
     last step first.  `expand(index, leaf)` returns the rules to try at
     the leaf that step `index` rewrites, in order, and the guides of a
-    rule's slots; `fail(index, leaf, rule, chain)` hears of each rule
-    that does not fire, with its bindings undone, and the chain that led
-    to the leaf.  Each frame
+    rule's slots; `fail(index, rule, chain)` hears of each rule that
+    does not fire, and of the chain that led to its leaf.  Each frame
     remembers the length of the search's trail when it started and
     undoes to it before each candidate and when it is popped.  A complete
     derivation comes out as its chain.  Without `step` every value is
@@ -253,8 +252,7 @@ def _derivations(grammar, root, expand, fail, step=None):
             undo(trail, mark)
             slots = derive_step(rule, node, "", trail)
             if slots is None:
-                undo(trail, mark)
-                fail(len(stack), leaf, rule, chain)
+                fail(len(stack), rule, chain)
                 continue
             grown = [(guide, nt, slot) for (nt, _), slot, guide in zip(rule.rhs, slots, guides)]
             rest = pending
@@ -331,7 +329,7 @@ def enumerate_trees(
         return rules, repeat(depth + 1)
 
     # Every rule the engine takes either fires (`grow`) or fails.
-    def fail(index, leaf, rule, chain):
+    def fail(index, rule, chain):
         if stats is not None:
             stats["steps"] += 1
             stats["failures"] += 1
@@ -481,7 +479,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             return (), ()
         return rules, node.children
 
-    def fail(index, leaf, rule, chain):
+    def fail(index, rule, chain):
         if index >= deepest[0]:
             deepest[:] = index, chain, rule
 
@@ -565,7 +563,7 @@ def _drop_slots(
     trail: list = []
     for i, (nt, feat) in enumerate(rule.rhs, start=1):
         if i in drop:
-            node = fold(feat, None, names, trail)
+            node = fold(feat, names, trail)
             if node is False or derive_step(epsilon[nt], node, str(i), trail) is None:
                 return None
 

@@ -83,12 +83,29 @@ class ValidationError(ValueError):
 # A tree name becomes a terminal of the `.rtg` file, whose lines these
 # characters delimit; a leading '#' would make its site line a comment.
 _NAME_DELIMITERS = frozenset("=/,;&()[]{}")
+# A label becomes a nonterminal, which ends at whitespace, a comma, a
+# parenthesis or '->' in a `.rtg` rule; the `.tag` reader ends it at any
+# of these characters.
+_LABEL_DELIMITERS = frozenset('():;{}=",#[]')
+
+
+def _label_fault(label: str) -> Optional[str]:
+    """Why a label or start symbol cannot be written and read back, or None."""
+    if not label or label == "word":
+        return f"a label cannot be {label!r}"
+    for ch in label:
+        if ch.isspace() or ch in _LABEL_DELIMITERS:
+            return f"a label cannot contain {ch!r}"
+    if "->" in label:
+        return "a label cannot contain '->'"
+    return None
 
 
 @dataclass(frozen=True)
 class Tag:
     """A validated grammar: construction raises `ValidationError` on a
-    TAG that breaks the tree-shape rules of `validate`."""
+    TAG that breaks the tree-shape rules of `validate`, or whose names
+    the `.tag` and `.rtg` formats cannot write and read back."""
 
     start: str
     trees: tuple[ElemTree, ...] = field(default_factory=tuple)
@@ -105,11 +122,17 @@ class Tag:
         return tuple(t for t in self.trees if t.auxiliary)
 
     def validate(self) -> None:
+        fault = _label_fault(self.start)
+        if fault:
+            raise ValidationError(f"start symbol {self.start!r}: {fault}")
         names: set[str] = set()
+        labels = {self.start}
         for tree in self.trees:
             where = f"tree {tree.name!r}"
             if tree.name in names:
                 raise ValidationError(f"duplicate {where}")
+            if not tree.name or tree.name != " ".join(tree.name.split()):
+                raise ValidationError(f"{where}: a tree name is words joined by single spaces")
             bad = [c for c in tree.name if c in _NAME_DELIMITERS]
             if bad:
                 raise ValidationError(f"{where}: a tree name cannot contain {bad[0]!r}")
@@ -125,16 +148,34 @@ class Tag:
             elif feet:
                 raise ValidationError(f"initial {where} cannot contain a foot node")
             for node in tree.root.nodes():
-                what = f"{where}, node {node.label!r}"
-                if node.kind in (NodeKind.SUBSTITUTION, NodeKind.FOOT, NodeKind.ANCHOR):
-                    if node.children:
-                        raise ValidationError(f"{what}: {node.kind.value} node must be a leaf")
-                if node.kind is NodeKind.FOOT and not is_top(node.top):
-                    raise ValidationError(f"{what}: foot node carries only a bottom feature")
-                if node.kind is NodeKind.SUBSTITUTION and not is_top(node.bot):
-                    raise ValidationError(f"{what}: substitution site carries only a top feature")
-                if node.kind is NodeKind.ANCHOR and not (is_top(node.top) and is_top(node.bot)):
-                    raise ValidationError(f"{what}: anchor carries no features")
+                fault = _node_fault(node, labels)
+                if fault:
+                    raise ValidationError(f"{where}, node {node.label!r}: {fault}")
+
+
+def _node_fault(node: TreeNode, labels: set[str]) -> Optional[str]:
+    """What breaks the rules at `node`, or None; `labels` holds the labels
+    already checked, and gains this node's."""
+    kind = node.kind
+    if kind is NodeKind.ANCHOR:
+        if '"' in node.label:
+            return "an anchor word cannot contain '\"'"
+    elif node.label not in labels:
+        fault = _label_fault(node.label)
+        if fault:
+            return fault
+        labels.add(node.label)
+    if kind is NodeKind.INTERNAL or kind is NodeKind.ADJUNCTION:
+        return None
+    if node.children:
+        return f"{kind.value} node must be a leaf"
+    if kind is NodeKind.FOOT and not is_top(node.top):
+        return "foot node carries only a bottom feature"
+    if kind is NodeKind.SUBSTITUTION and not is_top(node.bot):
+        return "substitution site carries only a top feature"
+    if kind is NodeKind.ANCHOR and not (is_top(node.top) and is_top(node.bot)):
+        return "anchor carries no features"
+    return None
 
 
 class ParseError(ValueError):

@@ -523,7 +523,7 @@ def _variable_paths(term, path=()):
 
 def _at(term, path):
     for key in path:
-        term = term.get(key)
+        term = dict(term.entries).get(key)
     return term
 
 

@@ -314,6 +314,18 @@ def test_translate_rejects_tree_names_the_rtg_format_cannot_hold(tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: tree {name!r}: a tree name cannot")
 
 
+def test_translate_rejects_labels_the_rtg_format_cannot_hold(tmp_path, capsys):
+    bad = tmp_path / "bad.tag"
+    bad.write_text(
+        'start: S; initial t { (S (A->B kind=subst) (word "w")) } '
+        'initial u { (A->B (word "x")) }\n'
+    )
+    assert main(["translate", str(bad), "--out", str(tmp_path / "bad.rtg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tree 't', node 'A->B': a label cannot contain '->'\n"
+    assert not (tmp_path / "bad.rtg").exists()
+
+
 def test_stats_reports_sizes_and_growth(capsys):
     assert main(["stats", FIG2]) == 0
     assert capsys.readouterr().out == (

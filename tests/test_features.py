@@ -116,14 +116,15 @@ def test_binding_sees_attributes_added_after_it():
     conjuncts = [parse_feature(t) for t in ("[top: ?t]", "[top: [g: b]]", "[top: [f: b]]")]
     term, sigma = unify_all(conjuncts)
     assert term == parse_feature("[top: [g: b, f: b]]")
-    assert sigma.get("t") == parse_feature("[g: b, f: b]")
+    assert sigma.bindings.get("t") == parse_feature("[g: b, f: b]")
 
 
 def test_shared_variable_denotes_the_unification_of_its_paths():
     term, sigma = unify(parse_feature("[p: ?t, q: ?t]"), parse_feature("[p: [g: b], q: [f: b]]"))
     both = parse_feature("[g: b, f: b]")
-    assert term.get("p") == term.get("q") == both
-    assert sigma.get("t") == both
+    entries = dict(term.entries)
+    assert entries.get("p") == entries.get("q") == both
+    assert sigma.bindings.get("t") == both
 
 
 def test_occurs_check_rejects_cycles_through_shared_nodes():
@@ -205,7 +206,7 @@ def test_apply_shares_subterms_without_bound_variables():
     assert apply(Substitution({"y": Atom("3pl")}), term) == term
     bound = apply(Substitution({"t": Atom("3pl")}), term)
     assert bound == avm(top=Atom("3pl"), bot=avm(agr=Atom("3sg")))
-    assert bound.get("bot") == term.get("bot")
+    assert dict(bound.entries).get("bot") == dict(term.entries).get("bot")
 
 
 def test_apply_replaces_in_one_pass():

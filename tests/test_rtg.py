@@ -61,9 +61,9 @@ def test_derive_step_freshens_with_the_position():
     slots = derive_step(rule, leaf, "1.1.1.1", trail)
     sigma = bindings(trail)
     assert slots == ()
-    assert sigma.get("ε.x") == Atom("3sg")
+    assert sigma.bindings.get("ε.x") == Atom("3sg")
     # v is both top and bottom, so it denotes their unification.
-    assert sigma.get("1.1.1.1.v") == parse_feature("[agr: 3sg, const: +]")
+    assert sigma.bindings.get("1.1.1.1.v") == parse_feature("[agr: 3sg, const: +]")
 
     # Quotes and backslashes in attribute and variable names.
     rule = FbRule("X", (parse_feature("""[a'b: ?v"\\, c"d\\: ?w']"""),), "f", ())
@@ -79,7 +79,7 @@ def test_derive_step_freshens_with_the_position():
     trail = []
     (slot,) = derive_step(rule, leaf, "1", trail)
     assert read_back(slot) == Atom("3sg")
-    assert bindings(trail).get("1.v") == Atom("3sg")
+    assert bindings(trail).bindings.get("1.v") == Atom("3sg")
 
 
 def _variable_nodes(term, node):
@@ -184,7 +184,7 @@ def test_trace_is_leftmost_and_binds_agreement(feature_grammar):
     assert fifth.index == 5
     assert fifth.position == "1.1.1.1"
     assert fifth.rule.terminal == "e_A"
-    assert fifth.delta.get("ε.x") == Atom("3sg")
+    assert fifth.delta.bindings.get("ε.x") == Atom("3sg")
     assert "ε.x = 3sg" in str(fifth.delta)
 
 
@@ -232,7 +232,7 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
     assert [s.position for s in steps] == [
         "ε", "1", "1.1", "1.1.1", "1.1.1.1", "2", "2.1", "3", "3.1", "3.1.1",
     ]
-    assert env.get("ε.x") == Atom("3sg") and len(env.bindings) == 11
+    assert env.bindings.get("ε.x") == Atom("3sg") and len(env.bindings) == 11
     for _ in range(2):
         assert good.steps == steps and good.env == env
         assert [str(s) for s in good.steps] == [str(s) for s in steps]

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagrtg.features import TOP, Atom, Avm, Var
+from tagrtg.rtg import GrammarError, reduce_grammar
+from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import (
     ElemTree,
     NodeKind,
@@ -14,6 +17,7 @@ from tagrtg.tag import (
     parse_tag,
     save_tag,
 )
+from tagrtg.translate import lc_fbrtg, to_fbrtg
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,87 @@ def test_tree_names_cannot_start_an_rtg_comment():
     root = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
     with pytest.raises(ValidationError, match="a tree name cannot start with '#'"):
         Tag("S", (ElemTree("#x", False, root),))
+
+
+def _one_tree_tag(start="S", name="t", label="NP", word="w"):
+    site = TreeNode(label, NodeKind.SUBSTITUTION)
+    root = TreeNode("S", children=(site, TreeNode(word, NodeKind.ANCHOR)))
+    return Tag(start, (ElemTree(name, False, root),))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        *(
+            ({"label": label}, f"tree 't', node {label!r}: a label cannot")
+            for label in [
+                "A->B", "A\xa0B", "A\x0bB", "A\u2003B", "A\x0cB", "A\x1cB", "A\x85B",
+                "A B", "", "word", "A(B", "A:B", "A#B", 'A"B', "A=B", "A[B",
+            ]
+        ),
+        ({"word": 'say "hi"'}, """tree 't', node 'say "hi"': an anchor word cannot contain '"'"""),
+        *(
+            ({"name": name}, f"tree {name!r}: a tree name is words joined by single spaces")
+            for name in ["", " t", "t ", "one  of", "one\xa0of", "one\tof", "one\x85of"]
+        ),
+        ({"start": "S->T"}, "start symbol 'S->T': a label cannot contain '->'"),
+        ({"start": "S\u2003"}, "start symbol 'S\\u2003': a label cannot contain '\\u2003'"),
+    ],
+)
+def test_validation_rejects_names_the_formats_cannot_read_back(fields, message):
+    with pytest.raises(ValidationError) as err:
+        _one_tree_tag(**fields)
+    assert str(err.value).startswith(message)
+
+
+# Half of the characters come from the delimiters of the two file formats.
+NAMES = st.text(
+    st.one_of(st.sampled_from("ab"), st.sampled_from('->#"(; \xa0\x0b')), min_size=1, max_size=3
+)
+FEATURES = st.sampled_from([TOP, Avm((("agr", Var("x")),)), Avm((("agr", Atom("3sg")),))])
+
+
+@st.composite
+def tag_fields(draw):
+    """A start symbol and up to three trees, with names, labels and
+    anchor words drawn from `NAMES`; the start symbol and the trees share
+    up to three labels."""
+    labels = st.sampled_from(draw(st.lists(NAMES, min_size=1, max_size=3)))
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        auxiliary = draw(st.booleans())
+        label = draw(labels)
+        kids = [
+            TreeNode(draw(labels), NodeKind.SUBSTITUTION, top=draw(FEATURES))
+            if draw(st.booleans())
+            else TreeNode(draw(labels), NodeKind.ADJUNCTION, draw(FEATURES), draw(FEATURES))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        kids.append(TreeNode(draw(NAMES), NodeKind.ANCHOR))
+        if auxiliary:
+            kids.append(TreeNode(label, NodeKind.FOOT, bot=draw(FEATURES)))
+        kind = draw(st.sampled_from([NodeKind.ADJUNCTION, NodeKind.INTERNAL]))
+        root = TreeNode(label, kind, draw(FEATURES), draw(FEATURES), tuple(kids))
+        trees.append(ElemTree(draw(NAMES), auxiliary, root))
+    return draw(labels), tuple(trees)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tag_fields())
+def test_every_valid_tag_and_its_grammars_read_back(fields):
+    try:
+        tag = Tag(*fields)
+    except ValidationError:
+        return
+    assert parse_tag(format_tag(tag)) == tag
+    grammars = [to_fbrtg(tag)]
+    try:
+        grammars.append(lc_fbrtg(tag))
+    except GrammarError:
+        pass
+    for grammar in grammars:
+        for form in (grammar, reduce_grammar(grammar)):
+            assert parse_rtg(format_rtg(form)) == form
 
 
 def test_manual_construction_matches_parse():
