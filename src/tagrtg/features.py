@@ -9,17 +9,15 @@ Unification runs on mutable feature nodes (Huet's union-find over
 feature graphs): a node is a variable or an AVM whose arcs live in a
 dict, and atoms stay `Atom`.  Unifying two nodes forwards one to the
 other's representative, so every path that shares a node sees what
-later unifications add to it.  After each unification the occurs check
-walks the result for a cycle.  Each forwarding and each added arc goes
-on a trail, and `undo` pops the trail back to a mark, so a search
-backtracks without copying.  A rule's fresh nodes come from a builder
-that `compile_builder` generates once per rule; `instantiate` builds
-them term by term.  `read_back` turns nodes into terms for output, and
-`bindings` reads the variables a trail bound into a `Substitution`.
-`unify`, `unify_all`, `apply`, `compose` and `freshen` are a term view
-on the same kernel that no library module calls; they stay here, off
-the package surface, for the unification law tests and the benchmark's
-tracer, which looks them up by name.
+later unifications add to it; the occurs check then walks the result.
+Each forwarding and added arc goes on a trail that `undo` pops back to
+a mark, so a search backtracks without copying.  `compile_fire` turns a
+rule into one function that builds its fresh nodes and unifies them;
+`instantiate` and `fold` do the same term by term.  `read_back` turns
+nodes into terms, and `bindings` reads what a trail bound.  `unify`,
+`unify_all`, `apply`, `compose` and `freshen` are a term view no library
+module calls, kept off the package surface for the law tests and the
+benchmark's tracer, which looks them up by name.
 """
 
 from __future__ import annotations
@@ -71,6 +69,9 @@ class Avm(FeatureTerm):
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Avm is immutable")
+
+    def __reduce__(self):
+        return Avm, (self.entries,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Avm):
@@ -156,17 +157,17 @@ def instantiate(term: FeatureTerm, prefix: Optional[str], names: dict[str, Node]
     return Node({key: instantiate(value, prefix, names) for key, value in term.entries})
 
 
-def compile_builder(positions: Iterable[Iterable[FeatureTerm]]):
-    """`instantiate` compiled once for a rule: a function of a Gorn
-    prefix that builds fresh nodes for every conjunct of every position,
-    in order, and returns one tuple of conjunct nodes per position.  Each
-    distinct variable v is one node named prefix.v; atoms are shared.
-
-    The source is flat, one assignment per AVM node in postorder, so any
-    nesting depth compiles.  Keys and variable names enter it only
-    through `repr`, and atoms through the function's namespace.
-    """
-    lines, names, atoms, namespace, out = [], {}, {}, {"Node": Node}, []
+def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
+    """A rule's positions (left-hand side first) compiled into one
+    `fire(leaf, prefix, trail)`: fresh nodes for every conjunct as
+    `instantiate` makes them, variable v named prefix.v, then unification
+    of the left-hand conjuncts, of the left-hand node with the leaf's
+    (None is top), and of each slot's conjuncts, all left to right.  It
+    returns the slot nodes (None for top), or None on a clash.  The source
+    is flat, one assignment per AVM node in postorder, so any depth
+    compiles; keys and names enter through `repr`, atoms as arguments of
+    a factory, and `Node` and `unify_nodes` are this module's globals."""
+    lines, names, atoms, joins, roots = [], {}, {}, [], []
     for conjuncts in positions:
         refs = []
         for conjunct in conjuncts:
@@ -176,7 +177,6 @@ def compile_builder(positions: Iterable[Iterable[FeatureTerm]]):
                 term, ready = stack.pop()
                 if type(term) is Atom:
                     ref = atoms.setdefault(term, f"a{len(atoms)}")
-                    namespace.setdefault(ref, term)
                 elif type(term) is Var:
                     ref = names.get(term.name)
                     if ref is None:
@@ -195,10 +195,16 @@ def compile_builder(positions: Iterable[Iterable[FeatureTerm]]):
                     lines.append(f"{ref} = Node({{{arcs}}})")
                 done.append(ref)
             refs.append(done[0])
-        out.append("(" + "".join(ref + ", " for ref in refs) + ")")
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def build(prefix):\n{body}    return ({', '.join(out)},)\n", namespace)
-    return namespace["build"]
+        joins += (f"if not unify_nodes({refs[0]}, {ref}, trail): return None" for ref in refs[1:])
+        if refs and not roots:  # the left-hand node meets the leaf's
+            joins.append(f"if leaf is not None and not unify_nodes({refs[0]}, leaf, trail):"
+                         " return None")
+        roots.append(refs[0] if refs else "None")
+    lines += joins + [f"return ({''.join(root + ', ' for root in roots[1:])})"]
+    body, scope = "".join(f"        {line}\n" for line in lines), {}
+    exec(f"def factory({', '.join(atoms.values())}):\n    def fire(leaf, prefix, trail):\n"
+         f"{body}    return fire\n", globals(), scope)
+    return scope["factory"](*atoms)
 
 
 def unify_nodes(a, b, trail: list) -> bool:
@@ -300,21 +306,17 @@ def bindings(trail: list, start: int = 0) -> Substitution:
     return Substitution(bound) if bound else IDENTITY
 
 
-def join(nodes: Iterable, trail: list):
-    """Unify a conjunction's nodes left to right.  Returns its node, None
-    for the empty conjunction (top), or False on a clash."""
+def fold(conjuncts: Iterable[FeatureTerm], names: dict, trail: list):
+    """Instantiate a conjunction, variables unprefixed, and unify it left to
+    right: its node, None for no conjunct (top), or False on a clash."""
     root = None
-    for node in nodes:
+    for conjunct in conjuncts:
+        node = instantiate(conjunct, None, names)
         if root is None:
             root = node
         elif not unify_nodes(root, node, trail):
             return False
     return root
-
-
-def fold(conjuncts: Iterable[FeatureTerm], names: dict, trail: list):
-    """Instantiate a conjunction, its variables unprefixed, and `join` it."""
-    return join([instantiate(conjunct, None, names) for conjunct in conjuncts], trail)
 
 
 def unify(a: FeatureTerm, b: FeatureTerm) -> Optional[tuple[FeatureTerm, Substitution]]:

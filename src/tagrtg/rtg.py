@@ -5,11 +5,11 @@ slots.  Every position carries a constraint: a conjunction of feature
 terms that is folded by unification when the rule fires.  Plain
 grammars are the degenerate case where every constraint is empty.
 
-Rewriting is leftmost.  Open leaves carry feature nodes; each firing
-builds the rule's constraints with a builder compiled once per rule and
-unifies them into the leaf in place, so bindings made deep inside one
-subtree reach open leaves elsewhere through the nodes they share;
-backtracking undoes the kernel's trail.  The search decides only the
+Rewriting is leftmost.  Open leaves carry feature nodes; each rule fires
+through one function compiled once per rule, which builds its
+constraints and unifies them into the leaf in place, so bindings made
+deep inside one subtree reach open leaves elsewhere through the nodes
+they share; backtracking undoes the kernel's trail.  The search decides only the
 verdict and keeps a chain of the rules that fired.  Everything a person
 reads, the trace with its Gorn addresses, the environment and the clash
 message, comes from replaying that chain on fresh nodes whose variables
@@ -25,20 +25,8 @@ from itertools import islice, repeat
 from typing import Iterator, Optional
 
 from tagrtg.features import (
-    IDENTITY,
-    Avm,
-    FeatureTerm,
-    Substitution,
-    bindings,
-    compile_builder,
-    fold,
-    format_feature,
-    instantiate,
-    is_top,
-    join,
-    read_back,
-    undo,
-    unify_nodes,
+    IDENTITY, Avm, FeatureTerm, Substitution, bindings, compile_fire, fold, format_feature,
+    instantiate, is_top, read_back, undo,
 )
 from tagrtg.trees import ROOT, DerivTree, child_position
 
@@ -83,10 +71,13 @@ class FbRule:
         return (None,) * len(self.rhs)
 
     @functools.cached_property
-    def builder(self):
-        """The `compile_builder` function of the rule's positions, left-hand
-        side first, compiled on first use, once per rule."""
-        return compile_builder((self.lhs_feat, *(feat for _, feat in self.rhs)))
+    def fire(self):
+        """The rule's `compile_fire` function, compiled on first use."""
+        return compile_fire((self.lhs_feat, *(feat for _, feat in self.rhs)))
+
+    @functools.cached_property
+    def slot_nonterminals(self) -> tuple[Nonterminal, ...]:
+        return tuple(nt for nt, _ in self.rhs)
 
     def __str__(self) -> str:
         left = _format_slot(self.lhs, self.lhs_feat)
@@ -193,33 +184,18 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     """Fire `rule` at an open leaf whose feature node is `leaf` (None
     stands for top).
 
-    The rule's compiled `builder` makes fresh nodes for all its
-    constraints at once, each variable v named `prefix`.v.  The left-hand
-    constraint is joined and unified with the leaf, then each slot
-    constraint is joined in turn; variables shared between them are
-    shared nodes.  Returns the slot nodes, or None on a clash.  Bindings
-    go on `trail`, and the caller undoes them, on failure too.  A rule
-    without any constraint returns its all-top `top_slots` at once and
-    leaves the kernel and the trail untouched.  Names matter only to what
-    reads nodes back, so a search passes an empty prefix and `_replay`
-    the leaf's Gorn address.
+    The rule's compiled `fire` builds its constraints, each variable v
+    named `prefix`.v, and unifies them with the leaf.  Returns the slot
+    nodes, or None on a clash; the caller undoes the bindings on `trail`,
+    on failure too.  A rule without any constraint returns its all-top
+    `top_slots` and leaves the kernel and the trail untouched.  Names
+    matter only to what reads nodes back, so a search passes an empty
+    prefix and `_replay` the leaf's Gorn address.
     """
     slots = rule.top_slots
     if slots is not None:
         return slots
-    lhs, *feats = rule.builder(prefix)
-    lhs = join(lhs, trail)
-    if lhs is False:
-        return None
-    if lhs is not None and leaf is not None and not unify_nodes(lhs, leaf, trail):
-        return None
-    slots = []
-    for nodes in feats:
-        node = join(nodes, trail)
-        if node is False:
-            return None
-        slots.append(node)
-    return tuple(slots)
+    return rule.fire(leaf, prefix, trail)
 
 
 def _derivations(grammar, root, expand, fail, step=None):
@@ -232,14 +208,14 @@ def _derivations(grammar, root, expand, fail, step=None):
     previous step, value), so the steps that led to a leaf form a chain,
     last step first.  `expand(index, leaf)` returns the rules to try at
     the leaf that step `index` rewrites, in order, and the guides of a
-    rule's slots; `fail(index, rule, chain)` hears of each rule that
-    does not fire, and of the chain that led to its leaf.  Each frame
-    remembers the length of the search's trail when it started and
-    undoes to it before each candidate and when it is popped.  A complete
-    derivation comes out as its chain.  Without `step` every value is
-    None; with it, a step's value is `step(value of the previous step,
-    rule)`, computed once, when the step fires, and shared by every
-    derivation that extends it.
+    rule's slots, last slot first; `fail(index, rule, chain)` hears of
+    each rule that does not fire, and of the chain that led to its leaf.
+    Each frame remembers the length of the trail when it started and
+    undoes to it, if a firing bound anything, before each candidate and
+    when it is popped.  A complete derivation comes out as its chain.
+    With `step`, a step's value is `step(value of the previous step,
+    rule)`, computed once, when it fires, and shared by every derivation
+    that extends it; without it, every value is None.
     """
     leaf = (root, grammar.axiom, None)
     rules, guides = expand(1, leaf)
@@ -249,27 +225,27 @@ def _derivations(grammar, root, expand, fail, step=None):
         rules, leaf, pending, chain, value, guides, mark = stack[-1]
         node = leaf[2]
         for rule in rules:
-            undo(trail, mark)
+            if len(trail) > mark:
+                undo(trail, mark)
             slots = derive_step(rule, node, "", trail)
             if slots is None:
                 fail(len(stack), rule, chain)
                 continue
-            grown = [(guide, nt, slot) for (nt, _), slot, guide in zip(rule.rhs, slots, guides)]
             rest = pending
-            for kid in reversed(grown):
-                rest = (kid, rest)
+            if slots:
+                for kid in zip(guides, reversed(rule.slot_nonterminals), reversed(slots)):
+                    rest = (kid, rest)
             link = (rule, chain, None if step is None else step(value, rule))
             if rest is None:
                 yield link
                 continue
             below, rest = rest
             below_rules, below_guides = expand(len(stack) + 1, below)
-            stack.append(
-                (iter(below_rules), below, rest, link, link[2], below_guides, len(trail))
-            )
+            stack.append((iter(below_rules), below, rest, link, link[2], below_guides, len(trail)))
             break
         else:
-            undo(trail, mark)
+            if len(trail) > mark:
+                undo(trail, mark)
             stack.pop()
 
 
@@ -477,7 +453,7 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
             if index >= deepest[0]:
                 deepest[:] = index, None, f"no rule rewrites {nt} to {node.label!r}"
             return (), ()
-        return rules, node.children
+        return rules, node.children[::-1]
 
     def fail(index, rule, chain):
         if index >= deepest[0]:

@@ -36,13 +36,13 @@ class NodeKind(enum.Enum):
 ACTIVE_KINDS = (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TreeNode(ValueTree):
-    label: str
-    kind: NodeKind = NodeKind.INTERNAL
-    top: FeatureTerm = TOP
-    bot: FeatureTerm = TOP
-    children: tuple[TreeNode, ...] = ()
+    __slots__ = ("label", "kind", "top", "bot", "children")
+
+    def __init__(self, label: str, kind: NodeKind = NodeKind.INTERNAL, top: FeatureTerm = TOP,
+                 bot: FeatureTerm = TOP, children: tuple[TreeNode, ...] = ()):
+        for slot, value in zip(_SLOTS, (label, kind, top, bot, children)):
+            slot.__set__(self, value)
 
     def _head(self) -> tuple:
         return self.label, self.kind, self.top, self.bot
@@ -53,6 +53,9 @@ class TreeNode(ValueTree):
 
     def __str__(self) -> str:
         return _format_node(self)
+
+
+_SLOTS = tuple(getattr(TreeNode, name) for name in TreeNode.__slots__)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from tagrtg.rtg import (
     EPS_ADJOIN,
     EPS_SUBST,
     SUBST_SUFFIX,
+    AlphabetError,
     Constraint,
     FbRtg,
     FbRule,
@@ -151,7 +152,11 @@ def _epsilon_subst_rule(symbol: str) -> FbRule:
 def _grammar(tag: Tag, names: tuple[str, ...], rules, form: str) -> FbRtg:
     """Assemble a translation: each label with each suffix of the form,
     then the axiom if no node carries the start label; the terminals
-    the rules use plus the ε terminals; the site table of the TAG."""
+    the rules use plus the ε terminals, which no tree may be named after;
+    the site table of the TAG."""
+    for tree in tag.trees:
+        if tree.name in (EPS_ADJOIN, EPS_SUBST):
+            raise AlphabetError(f"tree {tree.name!r} takes the name of an empty-tree terminal")
     lc = form == "lc"
     suffixes = (SUBST_SUFFIX, "", ADJOIN_SUFFIX) if lc else (SUBST_SUFFIX, ADJOIN_SUFFIX)
     nonterminals = tuple(name + suffix for suffix in suffixes for name in names)

@@ -8,7 +8,6 @@ indices; the root is "ε", the second child of the first child is "1.2".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -23,6 +22,16 @@ class ValueTree:
     """Value equality, hashing, preorder and `repr` over explicit stacks,
     so that trees of any depth compare and print; `_head` is what a node
     holds besides its `children`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a subclass's slots are its constructor's arguments
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -52,10 +61,12 @@ class ValueTree:
             stack += reversed(node.children)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DerivTree(ValueTree):
-    label: str
-    children: tuple[DerivTree, ...] = ()
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: str, children: tuple[DerivTree, ...] = ()):
+        _set_label(self, label)
+        _set_children(self, children)
 
     def _head(self) -> str:
         return self.label
@@ -66,12 +77,15 @@ class DerivTree(ValueTree):
         while stack:
             pos, node = stack.pop()
             yield pos, node
-            indexed = list(enumerate(node.children, start=1))
-            for index, child in reversed(indexed):
-                stack.append((child_position(pos, index), child))
+            for index in range(len(node.children), 0, -1):
+                stack.append((child_position(pos, index), node.children[index - 1]))
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+_set_label = DerivTree.label.__set__
+_set_children = DerivTree.children.__set__
 
 
 class TreeSyntaxError(ValueError):

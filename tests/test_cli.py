@@ -314,6 +314,16 @@ def test_translate_rejects_tree_names_the_rtg_format_cannot_hold(tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: tree {name!r}: a tree name cannot")
 
 
+@pytest.mark.parametrize("flags", [[], ["--lc"], ["--features", "--reduce"]])
+@pytest.mark.parametrize("name", ["e_A", "e_S"])
+def test_translate_rejects_tree_names_of_empty_tree_terminals(tmp_path, capsys, name, flags):
+    bad = tmp_path / "bad.tag"
+    bad.write_text(f'start: S; initial {name} {{ (S kind=adj (word "w")) }}\n')
+    assert main(["translate", str(bad), *flags, "--out", str(tmp_path / "bad.rtg")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: tree {name!r} takes the name")
+    assert not (tmp_path / "bad.rtg").exists()
+
+
 def test_translate_rejects_labels_the_rtg_format_cannot_hold(tmp_path, capsys):
     bad = tmp_path / "bad.tag"
     bad.write_text(

@@ -6,7 +6,9 @@ record-merge oracle written here; the property suites check the
 algebraic contract on generated terms.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,12 @@ def avm(**kwargs):
 
 
 # ---------------------------------------------------------------- frozen
+
+
+def test_avm_copies_and_pickles():
+    term = parse_feature("[agr: [num: ?x], mode: ind]")
+    for other in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert other == term and format_feature(other) == format_feature(term)
 
 
 def test_top_unifies_with_anything():

@@ -12,15 +12,18 @@ import tracemalloc
 import pytest
 
 from tagrtg.features import (
+    TOP,
     Atom,
     Avm,
     Node,
     Var,
     bindings,
+    fold,
     format_feature,
     instantiate,
     parse_feature,
     read_back,
+    unify_nodes,
 )
 from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
@@ -82,52 +85,138 @@ def test_derive_step_freshens_with_the_position():
     assert bindings(trail).bindings.get("1.v") == Atom("3sg")
 
 
-def _variable_nodes(term, node):
-    """(variable name, node) for each variable occurrence in `term`,
-    with `node` built for it."""
-    stack = [(term, node)]
+def _reference_fire(rule, leaf, prefix, trail):
+    """`rule.fire` spelled out: instantiate each conjunct under `prefix`,
+    then unify the left-hand conjuncts left to right, the left-hand node
+    with the leaf, and each slot's conjuncts left to right."""
+    names = {}
+    lhs, *feats = [
+        [instantiate(c, prefix, names) for c in feat]
+        for feat in (rule.lhs_feat, *(feat for _, feat in rule.rhs))
+    ]
+
+    def join(nodes):
+        root = None
+        for node in nodes:
+            if root is None:
+                root = node
+            elif not unify_nodes(root, node, trail):
+                return False
+        return root
+
+    lhs = join(lhs)
+    if lhs is False:
+        return None
+    if lhs is not None and leaf is not None and not unify_nodes(lhs, leaf, trail):
+        return None
+    slots = []
+    for nodes in feats:
+        node = join(nodes)
+        if node is False:
+            return None
+        slots.append(node)
+    return tuple(slots)
+
+
+def _map_leaves(term, var, atom):
+    if isinstance(term, Var):
+        return var(term)
+    if isinstance(term, Atom):
+        return atom(term)
+    return Avm((key, _map_leaves(value, var, atom)) for key, value in term.entries)
+
+
+def _variable_nodes(roots):
+    """Every variable node reachable from `roots` through forwardings and
+    arcs, by name; trail entries may be roots."""
+    seen, found, stack = set(), {}, list(roots)
     while stack:
-        term, node = stack.pop()
-        if isinstance(term, Var):
-            yield term.name, node
-        elif isinstance(term, Avm):
-            stack.extend((value, node.arcs[key]) for key, value in term.entries)
+        node = stack.pop()
+        if type(node) is tuple:  # an arc a unification added
+            node = node[0]
+        if type(node) is not Node or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.arcs is None:
+            found.setdefault(node.name, set()).add(id(node))
+        else:
+            stack.extend(node.arcs.values())
+        stack.append(node.ref)
+    return found
 
 
-def test_compiled_builder_matches_instantiate():
-    tags = [load_tag(bundled_grammar("fig2"))] + [random_tag(seed) for seed in range(300)]
-    rules = shared = 0
-    for tag in tags:
+# Two conjuncts that bind a variable to a variable: which one is bound
+# shows the order of each unification's arguments.
+ORDER = FbRule(
+    "X",
+    (parse_feature("[f: ?a]"), parse_feature("[f: ?b]")),
+    "f",
+    (("Y", (parse_feature("[g: ?a]"), parse_feature("[g: ?c]"))),),
+)
+
+
+def test_compiled_fire_matches_instantiating_each_conjunct():
+    corpus = [ORDER]
+    for tag in [load_tag(bundled_grammar("fig2"))] + [random_tag(seed) for seed in range(300)]:
         for form in (to_fbrtg, lc_fbrtg):
             try:
                 grammar = form(tag)
             except GrammarError:
                 continue
-            for rule in grammar.rules + reduce_grammar(grammar).rules:
-                if rule.top_slots is not None:
-                    continue
-                positions = (rule.lhs_feat, *(feat for _, feat in rule.rhs))
-                names = {}
-                expected = [
-                    [format_feature(read_back(instantiate(c, "1.2", names))) for c in feat]
-                    for feat in positions
-                ]
-                built = rule.builder("1.2")
-                got = [[format_feature(read_back(n)) for n in nodes] for nodes in built]
-                assert got == expected
-                # One node per variable, across every position of the rule.
-                seen = {}
-                for feat, nodes in zip(positions, built):
-                    for term, node in zip(feat, nodes):
-                        for name, at in _variable_nodes(term, node):
-                            shared += name in seen
-                            assert seen.setdefault(name, at) is at
-                # Each call builds fresh nodes; only atoms are shared.
-                again = (n for nodes in rule.builder("1.2") for n in nodes)
-                for node, old in zip(again, (n for nodes in built for n in nodes)):
-                    assert (node is old) == (type(node) is Atom)
-                rules += 1
+            corpus += grammar.rules + reduce_grammar(grammar).rules
+    rules = shared = fired = clashed = 0
+    for rule in corpus:
+        if rule.top_slots is not None:
+            continue
+        # Leaves: top, a ground instance of the left-hand side, and one
+        # that clashes with it.
+        lhs = fold(rule.lhs_feat, {}, [])
+        lhs = TOP if lhs is None or lhs is False else read_back(lhs)
+        ground = _map_leaves(lhs, lambda v: Atom(v.name), lambda a: a)
+        clash = _map_leaves(lhs, lambda v: Atom(v.name), lambda a: Atom(a.name + "!"))
+        if clash == ground:
+            clash = Atom("!")
+        for leaf in (None, ground, clash):
+            runs = []
+            for fire in (rule.fire, lambda *args: _reference_fire(rule, *args)):
+                node = None if leaf is None else instantiate(leaf, None, {})
+                trail = []
+                slots = fire(node, "1.2", trail)
+                read = None if slots is None else [format_feature(read_back(s)) for s in slots]
+                runs.append((read, str(bindings(trail)), (node, *(slots or ()), *trail)))
+            (got, got_env, roots), (expected, expected_env, _) = runs
+            assert got == expected and got_env == expected_env
+            fired += got is not None and leaf is not None
+            clashed += got is None
+            # One node per variable, across every position of the rule.
+            for name, nodes in _variable_nodes(roots).items():
+                assert len(nodes) == 1 or not name.startswith("1.2."), name
+        # Each call builds fresh nodes; only atoms are shared.
+        first, again = rule.fire(None, "1.2", []), rule.fire(None, "1.2", [])
+        if first is not None:
+            for node, old in zip(again, first):
+                assert (node is old) == (type(node) is not Node)
+        occurrences = [
+            name
+            for feat in (rule.lhs_feat, *(feat for _, feat in rule.rhs))
+            for term in feat
+            for name in _occurrences(term)
+        ]
+        shared += len(occurrences) - len(set(occurrences))
+        rules += 1
     assert rules > 5000 and shared > 6000
+    assert fired > 5000 and clashed > 5000
+
+
+def _occurrences(term):
+    """The name of each variable occurrence in `term`."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Var):
+            yield term.name
+        elif isinstance(term, Avm):
+            stack.extend(value for _, value in term.entries)
 
 
 def test_derive_step_fails_on_clash():
@@ -142,7 +231,7 @@ def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
     trail = []
     assert derive_step(bound, leaf, "1", trail) == ()
     mark = len(trail)
-    monkeypatch.setattr("tagrtg.rtg.join", _unexpected)
+    monkeypatch.setattr("tagrtg.features.unify_nodes", _unexpected)
     assert derive_step(free, leaf, "1.1", trail) == (None,)
     assert len(trail) == mark > 0
 

@@ -7,9 +7,9 @@ one rule per elementary tree, one empty-adjunction rule per symbol, so
 
 import pytest
 
-from tagrtg.rtg import erase_features, reduce_grammar
+from tagrtg.rtg import EPS_ADJOIN, EPS_SUBST, AlphabetError, erase_features, reduce_grammar
 from tagrtg.rtg_io import format_rtg, parse_rtg
-from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode
+from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, parse_tag
 from tagrtg.features import parse_feature
 from tagrtg.translate import lc_fbrtg, site_table, symbols, to_fbrtg
 
@@ -125,6 +125,15 @@ def test_translation_validates_its_input():
     root = TreeNode("VP", kind=NodeKind.ADJUNCTION, children=(foot,))
     with pytest.raises(ValueError):
         Tag("S", (ElemTree("w", True, root),))
+
+
+@pytest.mark.parametrize("form", [to_fbrtg, lc_fbrtg])
+@pytest.mark.parametrize("name", [EPS_ADJOIN, EPS_SUBST])
+def test_tree_names_cannot_be_empty_tree_terminals(form, name):
+    # Legal in the TAG, but the tree's terminal would be the ε terminal.
+    tag = parse_tag(f'start: S; initial {name} {{ (S kind=adj (word "w")) }}')
+    with pytest.raises(AlphabetError, match=f"tree {name!r}"):
+        form(tag)
 
 
 def test_elementary_trees_deeper_than_the_recursion_limit():

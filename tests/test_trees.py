@@ -1,5 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
+
+from tagrtg.features import parse_feature
+from tagrtg.tag import NodeKind, TreeNode
 
 from tagrtg.trees import (
     ROOT,
@@ -31,6 +37,45 @@ def test_parse_ignores_extra_whitespace():
 def test_leaf_forms():
     assert parse_tree("e_A") == DerivTree("e_A")
     assert parse_tree("e_A()") == DerivTree("e_A")
+
+
+def test_keyword_construction_and_defaults():
+    assert DerivTree(label="f", children=(DerivTree("a"),)) == parse_tree("f(a)")
+    assert DerivTree("a").children == ()
+    top = parse_feature("[agr: ?x]")
+    node = TreeNode(label="NP", kind=NodeKind.SUBSTITUTION, top=top, children=())
+    assert node == TreeNode("NP", NodeKind.SUBSTITUTION, top)
+    bare = TreeNode("X")
+    assert (bare.kind, bare.top, bare.bot, bare.children) == (
+        NodeKind.INTERNAL, TreeNode("Y").top, TreeNode("Y").bot, ()
+    )
+
+
+VALUES = [
+    parse_tree(EXAMPLE),
+    TreeNode(
+        "S",
+        NodeKind.ADJUNCTION,
+        parse_feature("[mode: ind]"),
+        parse_feature("[agr: ?x]"),
+        (TreeNode("NP", NodeKind.SUBSTITUTION), TreeNode("w", NodeKind.ANCHOR)),
+    ),
+]
+
+
+@pytest.mark.parametrize("tree", VALUES, ids=["DerivTree", "TreeNode"])
+def test_trees_stay_values(tree):
+    before = str(tree)
+    for name in ("label", "children", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, ())
+        with pytest.raises(AttributeError):
+            delattr(tree, name)
+    assert str(tree) == before
+    assert not hasattr(tree, "__dict__")
+    for other in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert type(other) is type(tree)
+        assert other == tree and hash(other) == hash(tree)
 
 
 REJECTED = {
