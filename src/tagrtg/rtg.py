@@ -9,11 +9,11 @@ Rewriting is leftmost.  Open leaves carry feature nodes; each rule fires
 through one function compiled once per rule, which builds its
 constraints and unifies them into the leaf in place, so bindings made
 deep inside one subtree reach open leaves elsewhere through the nodes
-they share; backtracking undoes the kernel's trail.  The search decides only the
-verdict and keeps a chain of the rules that fired.  Everything a person
-reads, the trace with its Gorn addresses, the environment and the clash
-message, comes from replaying that chain on fresh nodes whose variables
-are renamed apart by the address of the leaf their rule rewrote.
+they share; backtracking undoes the kernel's trail.  The search decides
+only the verdict and keeps a chain of the rules that fired.  Everything
+a person reads, the trace with its Gorn addresses, the environment and
+the clash message, comes from replaying that chain on fresh nodes, each
+variable renamed apart by the address of the leaf its rule rewrote.
 """
 
 from __future__ import annotations
