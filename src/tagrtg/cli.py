@@ -8,6 +8,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +70,7 @@ def cmd_check(args) -> int:
     try:
         result = accepts_detailed(grammar, tree)
     except AlphabetError as err:
+        args.status = 1
         print(f"rejected: {err}")
         return 1
     if result.accepted:
@@ -76,6 +78,7 @@ def cmd_check(args) -> int:
             print(step)
         print(f"accepted: {result.env}")
         return 0
+    args.status = 1
     print(f"rejected at {result.failure_position}: {result.failure}")
     return 1
 
@@ -137,6 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tagrtg",
         description="Turn TAGs into derivation-tree grammars and work with them.",
     )
+    # The status `main` exits with if the reader of stdout goes away;
+    # `check` sets its verdict here before it prints.
+    parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("translate", help="convert a .tag file to a (feature) RTG")
@@ -174,7 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # so that a buffered write to a closed pipe fails here
+        return status
+    except BrokenPipeError:
+        # The reader went away: stop quietly.  Whatever is still buffered
+        # goes to the null device, so the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return args.status
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

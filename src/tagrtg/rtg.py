@@ -124,10 +124,12 @@ class GrammarIndex:
     """Lookup tables over a grammar's declarations and rules.
 
     Every rule list keeps grammar rule order, which fixes the order in
-    which derivations try their candidates.
+    which derivations try their candidates.  The grammar is validated
+    first, so every rule's (terminal, rank) is declared in `ranks`.
     """
 
     def __init__(self, grammar: FbRtg):
+        grammar.validate()
         self.ranks: dict[str, int] = dict(grammar.terminals)
         self.sites: dict[str, SiteInfo] = dict(grammar.sites)
         self.by_lhs: dict[Nonterminal, list[FbRule]] = {}
@@ -415,21 +417,6 @@ class CheckResult:
         return self._replayed
 
 
-def _check_alphabet(grammar: FbRtg, tree: DerivTree) -> None:
-    """Walk the tree in preorder; only a bad node's address is built."""
-    ranks = grammar.index.ranks
-    for node in tree.nodes():
-        rank = ranks.get(node.label)
-        if rank != len(node.children):
-            pos = next(where for where, seen in tree.positions() if seen is node)
-            if rank is None:
-                raise AlphabetError(f"unknown terminal {node.label!r} at {pos}")
-            raise AlphabetError(
-                f"terminal {node.label!r} at {pos} has rank {rank}, "
-                f"found {len(node.children)} children"
-            )
-
-
 def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     """Check tree membership top-down, leftmost, with backtracking.
 
@@ -438,9 +425,9 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     or `failure` is first read.  On success the trace lists every rule
     application with the bindings it introduced.  On failure the
     diagnostics point at the deepest position any candidate run reached
-    before getting stuck.
+    before getting stuck, and a node outside the grammar's alphabet
+    raises `AlphabetError`.
     """
-    _check_alphabet(grammar, tree)
     by_shape = grammar.index.by_shape
     # The deepest failure: its step index, and the rule that clashed there
     # with the chain that led to its leaf, or why no rule applied.
@@ -464,8 +451,21 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     derivations.close()
     if chain is None:
         index, chain, failure = deepest
-        # The search rewrites the tree's nodes in preorder, one per step.
-        position = next(islice(tree.positions(), index - 1, None))[0]
+        # The search rewrites the tree's nodes in preorder, one per step, and
+        # each node before the deepest step took a rule with a declared
+        # (terminal, rank): no node outside the alphabet comes earlier.
+        ranks, position = grammar.index.ranks, None
+        for pos, node in islice(tree.positions(), index - 1, None):
+            if position is None:
+                position = pos
+            rank = ranks.get(node.label)
+            if rank != len(node.children):
+                if rank is None:
+                    raise AlphabetError(f"unknown terminal {node.label!r} at {pos}")
+                raise AlphabetError(
+                    f"terminal {node.label!r} at {pos} has rank {rank}, "
+                    f"found {len(node.children)} children"
+                )
         return CheckResult(False, position, chain, failure)
     return CheckResult(True, None, chain, None)
 

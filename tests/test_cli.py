@@ -263,6 +263,33 @@ def test_enumerate_prints_trees_deeper_than_the_recursion_limit(tmp_path):
     assert lines[-1] == "a"
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_closed_pipe_stops_the_command_quietly(unbuffered):
+    # The read end is closed before the command starts, so its first write
+    # to stdout, or its first flush when stdout is buffered, fails.  The
+    # command stops with the status it already had and prints nothing.
+    env = dict(os.environ, PYTHONPATH=str(Path(tagrtg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    rtg = str(GOLDEN / "example2.rtg")
+    for argv, code in (
+        (["enumerate", rtg, "--max-depth", "6"], 0),
+        (["check", rtg, BAD_AGREEMENT], 1),
+        (["check", rtg, "wat(e_A)"], 1),
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "tagrtg.cli", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (code, b""), argv
+
+
 def test_translated_grammar_declares_an_axiom_no_node_carries(tmp_path, capsys):
     tag = tmp_path / "startless.tag"
     tag.write_text('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')

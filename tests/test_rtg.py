@@ -43,7 +43,7 @@ from tagrtg.rtg import (
 from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import bundled_grammar, load_tag, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
-from tagrtg.trees import DerivTree, parse_tree
+from tagrtg.trees import DerivTree, ValueTree, parse_tree
 from test_acceptance import random_tag
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
@@ -342,6 +342,16 @@ def test_the_verdict_reads_nothing_back(feature_grammar, monkeypatch):
         good.accepted = False
 
 
+def test_an_accepted_verdict_walks_no_tree(feature_grammar, plain_grammar, monkeypatch):
+    # Every node took a rule whose terminal and rank the index declares,
+    # so acceptance needs no walk of its own to check the alphabet.
+    chain = parse_tree(f"caught(cats({'the(' * 1000}e_A{')' * 1000}), e_A, fish(e_A))")
+    monkeypatch.setattr(ValueTree, "nodes", _unexpected)
+    monkeypatch.setattr(DerivTree, "positions", _unexpected)
+    assert accepts_detailed(feature_grammar, GOOD).accepted
+    assert accepts_detailed(plain_grammar, chain).accepted
+
+
 def test_a_verdict_takes_memory_linear_in_the_depth():
     # The search keeps no address per open leaf: those would make the
     # peak grow with the square of the depth, about 16 MiB here.
@@ -369,6 +379,14 @@ def test_check_rejects_foreign_alphabet(feature_grammar):
         accepts(feature_grammar, parse_tree("caught(cats(e_A), has(e_A), swam(e_A))"))
     with pytest.raises(AlphabetError):
         accepts(feature_grammar, parse_tree("caught(cats(e_A), has(e_A))"))
+    # The search gives up at 1.1 on a feature clash, before it reaches the
+    # bad node; the error still names that node, the first in preorder.
+    with pytest.raises(AlphabetError, match=r"^unknown terminal 'zz' at 3$"):
+        accepts(feature_grammar, parse_tree("caught(cats(a(e_A)), has(e_A), zz)"))
+    with pytest.raises(
+        AlphabetError, match=r"^terminal 'fish' at 3 has rank 1, found 0 children$"
+    ):
+        accepts(feature_grammar, parse_tree("caught(cats(a(e_A)), has(e_A), fish)"))
 
 
 # ----------------------------------------------------------- enumeration
@@ -664,6 +682,14 @@ def test_validate_catches_mismatches(feature_grammar):
     with pytest.raises(AlphabetError):
         bad_rank.validate()
     feature_grammar.validate()
+    # The index validates its grammar, so no use of a bad one gets past it.
+    for bad, error in ((bad_nt, NonterminalMismatch), (bad_rank, AlphabetError)):
+        with pytest.raises(error):
+            bad.index
+        with pytest.raises(error):
+            accepts(bad, GOOD)
+        with pytest.raises(error):
+            next(enumerate_trees(bad, 3))
 
 
 def test_rule_rendering(feature_grammar):
