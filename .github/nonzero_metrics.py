@@ -1,4 +1,5 @@
-"""Fail unless each named metric is above 0 in a benchmark run's output.
+"""Fail unless each named metric is present and above 0 in a benchmark
+run's output.
 
 Usage: python .github/nonzero_metrics.py RUN_OUTPUT METRIC...
 
@@ -14,6 +15,8 @@ import sys
 path, *names = sys.argv[1:]
 with open(path, encoding="utf-8") as handle:
     metrics = json.loads(handle.read().splitlines()[-1])["metrics"]
-zero = [name for name in names if not metrics[name]["value"] > 0]
+missing = [name for name in names if name not in metrics]
+zero = [name for name in names if name in metrics and not metrics[name]["value"] > 0]
+print("metrics missing:", missing or "none")
 print("metrics at 0:", zero or "none")
-sys.exit(1 if zero else 0)
+sys.exit(1 if missing or zero else 0)

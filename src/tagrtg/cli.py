@@ -1,8 +1,10 @@
 """Command-line front end for the transformation pipeline.
 
-Exit status: 0 on success, 1 when `check` rejects a tree, 2 on any
-parse or validation error.  All commands are deterministic; identical
-inputs produce byte-identical output.
+Exit status: 0 on success, 1 when `check` rejects a tree, 2 on an
+input fault: every `ValueError` (the readers' and validators' errors,
+an undecodable file) and `OSError`, or input nested too deeply.  All
+commands are deterministic; identical inputs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from tagrtg.features import FeatureSyntaxError, is_top
-from tagrtg.leftcorner import MalformedLcTree, lc_inverse
+from tagrtg.features import is_top
+from tagrtg.leftcorner import lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     GrammarError,
@@ -22,21 +24,10 @@ from tagrtg.rtg import (
     erase_features,
     reduce_grammar,
 )
-from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg
-from tagrtg.tag import NodeKind, ParseError, Tag, ValidationError, load_tag
+from tagrtg.rtg_io import format_rtg, load_rtg
+from tagrtg.tag import NodeKind, Tag, load_tag
 from tagrtg.translate import lc_fbrtg, symbols, to_fbrtg
-from tagrtg.trees import TreeSyntaxError, parse_tree, to_dot
-
-_USER_ERRORS = (
-    ParseError,
-    ValidationError,
-    RtgParseError,
-    TreeSyntaxError,
-    FeatureSyntaxError,
-    GrammarError,
-    MalformedLcTree,
-    OSError,
-)
+from tagrtg.trees import parse_tree, to_dot
 
 
 def cmd_translate(args) -> int:
@@ -190,7 +181,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return args.status
-    except _USER_ERRORS as err:
+    except (ValueError, OSError) as err:
+        # Readers and validators raise ValueError, as does decoding a file
+        # that is not UTF-8; 1 is a verdict, so no input fault may reach it.
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

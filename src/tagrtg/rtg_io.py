@@ -220,7 +220,8 @@ def parse_rtg(text: str) -> FbRtg:
         if not chunk:
             continue
         name, slash, rank = chunk.rpartition("/")
-        if not slash or not rank.lstrip("-").isdigit() or int(rank) < 0:
+        # ASCII digits: `isdigit` passes '²', and `int` reads '٣' as 3.
+        if not slash or not (rank.isascii() and rank.isdigit()):
             raise RtgParseError(f"bad terminal declaration {chunk!r}", number)
         terminals.append((name.strip(), int(rank)))
 

@@ -206,7 +206,7 @@ def _skip(text: str, pos: int) -> int:
     return pos
 
 
-_STOP = set(" \t\r\n():;{}=\",#[]")
+_STOP = _LABEL_DELIMITERS | frozenset(" \t\r\n")
 
 
 def _word(text: str, pos: int) -> tuple[str, int]:

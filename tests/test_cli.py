@@ -1,15 +1,21 @@
 """Command-line behaviour, exit codes and golden transcripts."""
 
+import io
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tagrtg
 from tagrtg.cli import main
-from tagrtg.tag import bundled_grammar
+from tagrtg.rtg_io import format_rtg, load_rtg, parse_rtg
+from tagrtg.tag import NodeKind, bundled_grammar, parse_tag
 from test_rtg import ROOT_SLOT_TAG
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -185,6 +191,37 @@ def test_bad_input_exits_2_with_diagnostics(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+FILE_COMMANDS = {
+    "translate": [FIG2],
+    "stats": [FIG2],
+    "check": [str(GOLDEN / "example2.rtg"), GOOD_TREE],
+    "enumerate": [str(GOLDEN / "example2.rtg"), "--max-depth", "2"],
+    "invert": [str(GOLDEN / "lc_features.rtg"), "e_S(cats)"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [(command, "xff") for command in FILE_COMMANDS]
+    + [(command, "rank") for command in ("check", "enumerate", "invert")],
+)
+def test_files_no_reader_takes_exit_2(tmp_path, capsys, command, fault):
+    source, *rest = FILE_COMMANDS[command]
+    data = Path(source).read_bytes()
+    if fault == "xff":
+        data = b"\xff" + data
+        message = "error: 'utf-8' codec can't decode byte 0xff in position 0"
+    else:
+        data = data.replace(b"caught/3", "caught/²".encode())
+        message = "error: line 4: bad terminal declaration 'caught/²'\n"
+    path = tmp_path / Path(source).name
+    path.write_bytes(data)
+    assert main([command, str(path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 def test_too_deep_tree_is_an_error_not_a_rejection(tmp_path, capsys):
@@ -429,3 +466,129 @@ def test_stats_flags_inert_features_and_missing_lc(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: labels 'NP' and 'NP_S'")
+
+
+# An edit puts one of these before, after or instead of a word of a file
+# or a tree: the delimiters of both file formats and of tree text, the
+# names they reserve, whitespace that `str.split` and `str.splitlines`
+# read but ASCII does not, digits that `int` reads but ASCII does not,
+# and '\udcff', which a file holds as the byte 0xff, not UTF-8; or nothing.
+TOKENS = (
+    "(", ")", "[", "]", "{", "}", ":", ";", ",", "=", "&", "?", "#", '"', "/",
+    "->", "e_A", "word", "\t", "\n", "\xa0", "\x85", "²", "٣", "\udcff", "",
+)
+EDIT = st.tuples(
+    st.integers(0, 100), st.sampled_from(("before", "after", "instead")), st.sampled_from(TOKENS)
+)
+EDITS = st.lists(EDIT, max_size=2)
+WORD = re.compile(r"\w+")
+# fig2's start line, then one line per elementary tree.
+FIG2_LINES = [line for line in Path(FIG2).read_text().splitlines() if not line.startswith("#")]
+LC_TREE = "e_S(one of(the(cats)))"
+README_TREES = (GOOD_TREE, "caught(cats(a(e_A)), has(e_A), fish(a(e_A)))", LC_TREE)
+# The faults the contract once missed: a byte that is not UTF-8, and a
+# rank that `str.isdigit` passes but `int` cannot read.
+XFF = [(0, "before", "\udcff")]
+SUPERSCRIPT_RANK = [(WORD.findall((GOLDEN / "example2.rtg").read_text()).index("caught") + 1,
+                     "instead", "²")]
+
+
+def _put(token, where, word):
+    return {"before": token + word, "after": word + token, "instead": token}[where]
+
+
+def _edit(text, edits):
+    for index, where, token in edits:
+        words = list(WORD.finditer(text))
+        if words:
+            word = words[index % len(words)]
+            text = text[:word.start()] + _put(token, where, word[0]) + text[word.end():]
+    return text
+
+
+def _rename(text, rename):
+    """Apply the edit to every occurrence of a name of the `.tag` text:
+    its start symbol, a tree name or a node label."""
+    tag = parse_tag(text)
+    names = sorted(
+        {tag.start, *(tree.name for tree in tag.trees)}
+        | {node.label for tree in tag.trees for node in tree.root.nodes()
+           if node.kind is not NodeKind.ANCHOR}
+    )
+    index, where, token = rename
+    name = names[index % len(names)]
+    return re.sub(rf"(?<!\w){re.escape(name)}(?!\w)", _put(token, where, name), text)
+
+
+def _run(argv):
+    """Run one command in process and check its exit status and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    assert stderr.getvalue().startswith("error:") if status == 2 else stderr.getvalue() == ""
+    return status
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # One parser serves every command: building it costs about as much
+    # as a command on a small file.
+    parser = tagrtg.cli.build_parser()
+    with mock.patch.object(tagrtg.cli, "build_parser", lambda: parser):
+        yield tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@example(trees=set(range(7)), rename=(0, "after", ""), edits=XFF, flags=[])
+@given(
+    trees=st.sets(st.integers(0, len(FIG2_LINES) - 2), min_size=1, max_size=3),
+    rename=EDIT,
+    edits=st.lists(EDIT, max_size=1),
+    flags=st.lists(st.sampled_from(["--lc", "--features", "--reduce"]), unique=True),
+)
+def test_edited_tag_files_keep_the_exit_contract(fuzz_dir, trees, rename, edits, flags):
+    # fig2 cut down to some of its trees, then edited: a rename keeps the
+    # grammar whole and tries the name rules, an edit mostly breaks it.
+    text = "\n".join(FIG2_LINES[:1] + [FIG2_LINES[1 + tree] for tree in sorted(trees)])
+    text = _edit(_rename(text, rename), edits)
+    source = fuzz_dir / "edited.tag"
+    source.write_bytes(text.encode(errors="surrogateescape"))
+    out = fuzz_dir / "out.rtg"
+    out.unlink(missing_ok=True)
+    if _run(["translate", str(source), *flags, "--out", str(out)]) == 0:
+        written = out.read_text(encoding="utf-8")
+        assert format_rtg(parse_rtg(written)) == written
+        # `stats` reads the file as `translate` does, so it runs only
+        # where its own code gets to work.
+        _run(["stats", str(source)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@example(command="check", rtg="example2.rtg", edits=XFF, tree=GOOD_TREE, tree_edits=[])
+@example(command="check", rtg="example2.rtg", edits=SUPERSCRIPT_RANK, tree=GOOD_TREE,
+         tree_edits=[])
+@given(
+    command=st.sampled_from(["check", "enumerate", "invert"]),
+    rtg=st.sampled_from(["example1.rtg", "example2.rtg", "lc_plain.rtg", "lc_features.rtg"]),
+    edits=EDITS,
+    tree=st.sampled_from(README_TREES),
+    tree_edits=EDITS,
+)
+def test_edited_rtg_files_keep_the_exit_contract(fuzz_dir, command, rtg, edits, tree, tree_edits):
+    text = _edit((GOLDEN / rtg).read_text(), edits)
+    source = fuzz_dir / "edited.rtg"
+    source.write_bytes(text.encode(errors="surrogateescape"))
+    # '--' keeps a tree that an edit starts with '->' from reading as an
+    # option; `invert` reads left-corner trees only.
+    rest = {
+        "check": ["--", _edit(tree, tree_edits)],
+        "enumerate": ["--max-depth", "3"],
+        "invert": ["--", _edit(LC_TREE, tree_edits)],
+    }[command]
+    _run([command, str(source), *rest])
+    try:
+        grammar = load_rtg(source)
+    except ValueError:
+        return
+    assert parse_rtg(format_rtg(grammar)) == grammar

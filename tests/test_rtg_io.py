@@ -144,6 +144,8 @@ FISH = "NP_S [top: ?t] -> fish(NP_A [top: ?t]);"
         (lambda t: t.replace("rtg 1 standard", "rtg 1 spiral"), "unknown rule form"),
         (lambda t: t.replace("axiom:", "axiom"), "expected 'axiom"),
         (lambda t: t.replace("caught/3", "caught/three"), "bad terminal"),
+        (lambda t: t.replace("caught/3", "caught/²"), "bad terminal declaration 'caught/²'"),
+        (lambda t: t.replace("caught/3", "caught/٣"), "bad terminal declaration 'caught/٣'"),
         (lambda t: t.replace("initial inactive", "initial sideways"), "bad site"),
         (
             lambda t: t.replace("(subst, adj, subst)", "(subst, ajd, subst)"),
