@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -126,6 +127,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tagrtg",
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return args.status
     except (ValueError, OSError) as err:
-        # Readers and validators raise ValueError, as does decoding a file
+        # Readers and validators raise ValueError, naming the line of a byte
         # that is not UTF-8; 1 is a verdict, so no input fault may reach it.
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -12,16 +12,17 @@ other's representative, so every path that shares a node sees what
 later unifications add to it; the occurs check then walks the result.
 Each forwarding and added arc goes on a trail that `undo` pops back to
 a mark, so a search backtracks without copying.  `compile_fire` turns a
-rule into one function that builds its fresh nodes and unifies them;
-`instantiate` and `fold` do the same term by term.  `read_back` turns
-nodes into terms, and `bindings` reads what a trail bound.  `unify`,
-`unify_all`, `apply`, `compose` and `freshen` are a term view no library
-module calls, kept off the package surface for the law tests and the
-benchmark's tracer, which looks them up by name.
+rule into one function, compiled once per rule shape, that builds its
+fresh nodes and unifies them; `instantiate` and `fold` do the same term
+by term.  `read_back` turns nodes into terms, `bindings` reads what a
+trail bound.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are
+a term view no library module calls, kept off the package surface for
+the law tests and the benchmark's tracer, which looks them up by name.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -166,7 +167,8 @@ def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
     returns the slot nodes (None for top), or None on a clash.  The source
     is flat, one assignment per AVM node in postorder, so any depth
     compiles; keys and names enter through `repr`, atoms as arguments of
-    a factory, and `Node` and `unify_nodes` are this module's globals."""
+    a factory compiled once per source, which rules that differ only in
+    atoms share; `Node` and `unify_nodes` are this module's globals."""
     lines, names, atoms, joins, roots = [], {}, {}, [], []
     for conjuncts in positions:
         refs = []
@@ -201,10 +203,16 @@ def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
                          " return None")
         roots.append(refs[0] if refs else "None")
     lines += joins + [f"return ({''.join(root + ', ' for root in roots[1:])})"]
-    body, scope = "".join(f"        {line}\n" for line in lines), {}
-    exec(f"def factory({', '.join(atoms.values())}):\n    def fire(leaf, prefix, trail):\n"
-         f"{body}    return fire\n", globals(), scope)
-    return scope["factory"](*atoms)
+    body = "".join(f"        {line}\n" for line in lines)
+    return _factory(f"def factory({', '.join(atoms.values())}):\n"
+                    f"    def fire(leaf, prefix, trail):\n{body}    return fire\n")(*atoms)
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str):
+    """The factory that `source` defines, one compile per distinct source."""
+    exec(source, globals(), scope := {})
+    return scope["factory"]
 
 
 def unify_nodes(a, b, trail: list) -> bool:

@@ -6,7 +6,7 @@ terms that is folded by unification when the rule fires.  Plain
 grammars are the degenerate case where every constraint is empty.
 
 Rewriting is leftmost.  Open leaves carry feature nodes; each rule fires
-through one function compiled once per rule, which builds its
+through one function compiled once per rule shape, which builds its
 constraints and unifies them into the leaf in place, so bindings made
 deep inside one subtree reach open leaves elsewhere through the nodes
 they share; backtracking undoes the kernel's trail.  The search decides
@@ -61,18 +61,13 @@ class FbRule:
     def rank(self) -> int:
         return len(self.rhs)
 
-    @functools.cached_property
-    def top_slots(self) -> Optional[tuple[None, ...]]:
-        """One top slot node (None) per slot when no position carries a
-        constraint, so firing the rule needs no unification; None when
-        one does.  Worked out on first use, once per rule."""
-        if self.lhs_feat or any(feat for _, feat in self.rhs):
-            return None
-        return (None,) * len(self.rhs)
+    def __reduce__(self):
+        # Copies and pickles leave the cached properties behind.
+        return FbRule, (self.lhs, self.lhs_feat, self.terminal, self.rhs)
 
     @functools.cached_property
     def fire(self):
-        """The rule's `compile_fire` function, compiled on first use."""
+        """The rule's `compile_fire` function, built on first use."""
         return compile_fire((self.lhs_feat, *(feat for _, feat in self.rhs)))
 
     @functools.cached_property
@@ -189,14 +184,11 @@ def derive_step(rule: FbRule, leaf, prefix: str, trail: list) -> Optional[tuple]
     The rule's compiled `fire` builds its constraints, each variable v
     named `prefix`.v, and unifies them with the leaf.  Returns the slot
     nodes, or None on a clash; the caller undoes the bindings on `trail`,
-    on failure too.  A rule without any constraint returns its all-top
-    `top_slots` and leaves the kernel and the trail untouched.  Names
-    matter only to what reads nodes back, so a search passes an empty
-    prefix and `_replay` the leaf's Gorn address.
+    on failure too.  A rule without any constraint returns one top slot
+    node (None) per slot and leaves the trail untouched.  Names matter
+    only to what reads nodes back, so a search passes an empty prefix and
+    `_replay` the leaf's Gorn address.
     """
-    slots = rule.top_slots
-    if slots is not None:
-        return slots
     return rule.fire(leaf, prefix, trail)
 
 
@@ -531,9 +523,9 @@ def _drop_slots(
 
     Each dropped slot's constraint is folded into feature nodes, with
     variables shared across the rule, and its nonterminal's own
-    empty-adjunction rule fires there.  If that bound anything, what
-    the rule keeps is instantiated over the same variable nodes and read
-    back, so it shows the bindings.
+    empty-adjunction rule fires there.  What the rule keeps is
+    instantiated over the same variable nodes and read back, so it shows
+    any bindings.
     """
     names: dict = {}
     trail: list = []
@@ -544,7 +536,7 @@ def _drop_slots(
                 return None
 
     def kept(feat: Constraint) -> Constraint:
-        terms = (read_back(instantiate(c, None, names)) for c in feat) if trail else feat
+        terms = (read_back(instantiate(c, None, names)) for c in feat)
         return tuple(c for c in terms if not is_top(c))
 
     rhs = tuple(

@@ -244,4 +244,8 @@ def parse_rtg(text: str) -> FbRtg:
 
 
 def load_rtg(path: Union[str, Path]) -> FbRtg:
-    return parse_rtg(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    if bad := re.search("[\udc80-\udcff]", text):  # a byte that is not UTF-8
+        message = f"byte 0x{ord(bad[0]) - 0xdc00:02x} is not UTF-8"
+        raise RtgParseError(message, len(text[: bad.end()].splitlines()))
+    return parse_rtg(text)

@@ -9,6 +9,7 @@ names, so names double as ranked terminal symbols later on.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -350,7 +351,10 @@ def _format_node(root: TreeNode) -> str:
 
 
 def load_tag(path: str | Path) -> Tag:
-    return parse_tag(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    if bad := re.search("[\udc80-\udcff]", text):  # a byte that is not UTF-8
+        _fail(text, bad.start(), f"byte 0x{ord(bad[0]) - 0xdc00:02x} is not UTF-8")
+    return parse_tag(text)
 
 
 def save_tag(tag: Tag, path: str | Path) -> None:

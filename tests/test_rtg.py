@@ -6,8 +6,11 @@ chain), 35 of height at most 4 and 2 of height at most 3, while the
 plain skeleton has 192 trees of height at most 4.
 """
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from tagrtg.features import (
     Avm,
     Node,
     Var,
+    _factory,
     bindings,
     fold,
     format_feature,
@@ -27,6 +31,7 @@ from tagrtg.features import (
 )
 from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
+    EPS_ADJOIN,
     AlphabetError,
     FbRtg,
     FbRule,
@@ -40,11 +45,11 @@ from tagrtg.rtg import (
     erase_features,
     reduce_grammar,
 )
-from tagrtg.rtg_io import format_rtg, parse_rtg
+from tagrtg.rtg_io import format_rtg, load_rtg, parse_rtg
 from tagrtg.tag import bundled_grammar, load_tag, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, ValueTree, parse_tree
-from test_acceptance import random_tag
+from test_acceptance import _replicate, random_tag
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
 BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
@@ -166,8 +171,6 @@ def test_compiled_fire_matches_instantiating_each_conjunct():
             corpus += grammar.rules + reduce_grammar(grammar).rules
     rules = shared = fired = clashed = 0
     for rule in corpus:
-        if rule.top_slots is not None:
-            continue
         # Leaves: top, a ground instance of the left-hand side, and one
         # that clashes with it.
         lhs = fold(rule.lhs_feat, {}, [])
@@ -234,6 +237,38 @@ def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
     monkeypatch.setattr("tagrtg.features.unify_nodes", _unexpected)
     assert derive_step(free, leaf, "1.1", trail) == (None,)
     assert len(trail) == mark > 0
+    # One top slot node per slot, and nothing on an empty trail.
+    trail = []
+    assert derive_step(FbRule("S_S", (), "f", (("A", ()),) * 3), leaf, "", trail) == (None,) * 3
+    assert trail == []
+
+
+def test_rules_of_one_shape_share_one_compile():
+    # An attribute no other rule uses keeps the shape new to the cache.
+    sg, pl = (
+        FbRule("X", (), "f", (("Y", (parse_feature(f"[shared_agr: {agr}]"),)),))
+        for agr in ("3sg", "3pl")
+    )
+    misses = _factory.cache_info().misses
+    (slot_sg,), (slot_pl,) = derive_step(sg, None, "", []), derive_step(pl, None, "", [])
+    assert _factory.cache_info().misses == misses + 1
+    assert read_back(slot_sg) == parse_feature("[shared_agr: 3sg]")
+    assert read_back(slot_pl) == parse_feature("[shared_agr: 3pl]")
+    # fig2 x20 has one empty-adjunction rule per nonterminal, all alike.
+    fig2 = load_tag(bundled_grammar("fig2"))
+    epsilon = [r for r in to_fbrtg(_replicate(fig2, 20)).rules if r.terminal == EPS_ADJOIN]
+    misses = _factory.cache_info().misses
+    for rule in epsilon:
+        derive_step(rule, None, "", [])
+    assert len(epsilon) > 1 and _factory.cache_info().misses <= misses + 1
+
+
+def test_loading_a_grammar_again_compiles_nothing():
+    path = Path(__file__).parent / "golden" / "example2.rtg"
+    trees = list(enumerate_trees(load_rtg(path), 4))
+    misses = _factory.cache_info().misses
+    assert list(enumerate_trees(load_rtg(path), 4)) == trees
+    assert _factory.cache_info().misses == misses
 
 
 def _unexpected(*args, **kwargs):
@@ -762,3 +797,14 @@ def test_replaced_rules_get_a_fresh_index():
     assert list(enumerate_trees(replaced, 3)) == list(enumerate_trees(direct, 3)) != original
     trace = [str(s) for s in accepts_detailed(replaced, tree).steps]
     assert trace == [str(s) for s in accepts_detailed(direct, tree).steps] != original_trace
+
+
+@pytest.mark.parametrize("features", [True, False], ids=["features", "erased"])
+def test_a_grammar_that_has_fired_pickles_and_copies(features):
+    grammar = to_fbrtg(load_tag(bundled_grammar("fig2")))
+    grammar = reduce_grammar(grammar if features else erase_features(grammar))
+    trees = list(enumerate_trees(grammar, 3))
+    assert trees and accepts_detailed(grammar, trees[-1]).steps
+    for again in (pickle.loads(pickle.dumps(grammar)), copy.copy(grammar)):
+        assert again == grammar
+        assert list(enumerate_trees(again, 3)) == trees

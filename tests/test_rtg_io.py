@@ -102,6 +102,15 @@ def test_save_and_load(tmp_path, feature_grammar):
     assert load_rtg(target) == feature_grammar
 
 
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, feature_grammar):
+    lines = format_rtg(feature_grammar).encode().splitlines()
+    lines[2] += b" \xe2\x82"  # a three-byte sequence cut short
+    target = tmp_path / "bad.rtg"
+    target.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(RtgParseError, match="^line 3: byte 0xe2 is not UTF-8$"):
+        load_rtg(target)
+
+
 def test_parser_skips_comments_and_blank_lines(feature_grammar):
     lines = format_rtg(feature_grammar).splitlines()
     noisy = "\n".join(

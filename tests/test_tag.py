@@ -108,6 +108,14 @@ def test_save_and_load(tmp_path, fig2):
     assert load_tag(path) == fig2
 
 
+def test_load_names_the_line_and_column_of_a_byte_that_is_not_utf8(tmp_path):
+    # Line 3 follows a Windows and an old Mac line end.
+    path = tmp_path / "bad.tag"
+    path.write_bytes(b'start: S;\r\ninitial t\r{ (S (w\xc3 "w")) }')
+    with pytest.raises(ParseError, match=r"^byte 0xc3 is not UTF-8 \(line 3, column 8\)$"):
+        load_tag(path)
+
+
 @pytest.mark.parametrize("term", ["a", "?x"])
 def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
     tag = parse_tag(f'start: S;\ninitial t {{ (S (NP kind=subst top={term} ) (word "w")) }}')
