@@ -15,8 +15,10 @@ import os
 import sys
 from pathlib import Path
 
+# The .rtg reader and writer, and the engine under them, serve every
+# command but `stats`; a command imports what only it runs (the TAG
+# reader, the translation, the left-corner inverse) when it runs.
 from tagrtg.features import is_top
-from tagrtg.leftcorner import lc_inverse
 from tagrtg.rtg import (
     AlphabetError,
     GrammarError,
@@ -26,12 +28,13 @@ from tagrtg.rtg import (
     reduce_grammar,
 )
 from tagrtg.rtg_io import format_rtg, load_rtg
-from tagrtg.tag import NodeKind, Tag, load_tag
-from tagrtg.translate import lc_fbrtg, symbols, to_fbrtg
 from tagrtg.trees import parse_tree, to_dot
 
 
 def cmd_translate(args) -> int:
+    from tagrtg.tag import load_tag
+    from tagrtg.translate import lc_fbrtg, to_fbrtg
+
     tag = load_tag(args.grammar)
     result = lc_fbrtg(tag) if args.lc else to_fbrtg(tag)
     if not args.features:
@@ -76,16 +79,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from tagrtg.leftcorner import lc_inverse
+
     grammar = load_rtg(args.grammar)
     tree = parse_tree(args.tree)
     print(lc_inverse(grammar, tree))
     return 0
 
 
-def _inert_feature_notes(tag: Tag) -> list[str]:
+def _inert_feature_notes(tag) -> list[str]:
     """Features on nodes no rule ever touches, reported rather than lost:
     an inactive root's top is the tree's interface, and nothing reads any
     other feature of an inactive node."""
+    from tagrtg.tag import NodeKind
+
     notes = []
     for tree in tag.trees:
         for node in tree.root.nodes():
@@ -104,6 +111,9 @@ def _inert_feature_notes(tag: Tag) -> list[str]:
 
 
 def cmd_stats(args) -> int:
+    from tagrtg.tag import load_tag
+    from tagrtg.translate import lc_fbrtg, symbols, to_fbrtg
+
     tag = load_tag(args.grammar)
     initials = len(tag.initials)
     auxiliaries = len(tag.auxiliaries)

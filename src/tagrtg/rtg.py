@@ -121,6 +121,9 @@ class GrammarIndex:
     Every rule list keeps grammar rule order, which fixes the order in
     which derivations try their candidates.  The grammar is validated
     first, so every rule's (terminal, rank) is declared in `ranks`.
+    Enumeration reads the rules without slots (`leaf_rules`), one tree
+    per terminal they use (`leaves`), and whether two rules share a
+    (left-hand side, terminal, rank) shape (`repeated_shape`).
     """
 
     def __init__(self, grammar: FbRtg):
@@ -129,9 +132,16 @@ class GrammarIndex:
         self.sites: dict[str, SiteInfo] = dict(grammar.sites)
         self.by_lhs: dict[Nonterminal, list[FbRule]] = {}
         self.by_shape: dict[tuple[Nonterminal, str, int], list[FbRule]] = {}
+        self.leaf_rules: dict[Nonterminal, list[FbRule]] = {}
+        self.leaves: dict[str, DerivTree] = {}
         for rule in grammar.rules:
             self.by_lhs.setdefault(rule.lhs, []).append(rule)
             self.by_shape.setdefault((rule.lhs, rule.terminal, rule.rank), []).append(rule)
+            if not rule.rhs:
+                self.leaf_rules.setdefault(rule.lhs, []).append(rule)
+                if rule.terminal not in self.leaves:
+                    self.leaves[rule.terminal] = DerivTree(rule.terminal)
+        self.repeated_shape = len(self.by_shape) < len(grammar.rules)
 
 
 @dataclass(frozen=True)
@@ -143,10 +153,16 @@ class FbRtg:
     form: str = "standard"
     sites: tuple[tuple[str, SiteInfo], ...] = ()
 
+    def __reduce__(self):
+        # Copies and pickles leave the index behind; a copy builds its own.
+        return FbRtg, (
+            self.axiom, self.nonterminals, self.terminals, self.rules, self.form, self.sites,
+        )
+
     @functools.cached_property
     def index(self) -> GrammarIndex:
-        """Built on first use; not a field, so equality, hashing, repr and
-        dataclasses.replace ignore it."""
+        """Built on first use; not a field, so equality, hashing, repr,
+        copies, pickles and dataclasses.replace ignore it."""
         return GrammarIndex(self)
 
     def validate(self) -> None:
@@ -289,9 +305,8 @@ def enumerate_trees(
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("failures", 0)
-    by_lhs = grammar.index.by_lhs
-    leaf_rules = {nt: [r for r in rules if not r.rhs] for nt, rules in by_lhs.items()}
-    leaves = {r.terminal: DerivTree(r.terminal) for r in grammar.rules if not r.rhs}
+    tables = grammar.index
+    by_lhs, leaf_rules, leaves = tables.by_lhs, tables.leaf_rules, tables.leaves
 
     def expand(index, leaf):
         depth, nt, _ = leaf
@@ -324,7 +339,7 @@ def enumerate_trees(
         return done
 
     trees = (link[2] for link in _derivations(grammar, 1, expand, fail, grow))
-    if all(len(rules) == 1 for rules in grammar.index.by_shape.values()):
+    if not tables.repeated_shape:
         yield from trees
         return
     seen = set()

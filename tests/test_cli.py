@@ -329,6 +329,39 @@ def test_a_closed_pipe_stops_the_command_quietly(unbuffered):
         assert (run.returncode, run.stderr) == (code, b""), argv
 
 
+LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('tagrtg.')), file=sys.stderr)"
+ENGINE = ["tagrtg.cli", "tagrtg.features", "tagrtg.rtg", "tagrtg.rtg_io", "tagrtg.trees"]
+# Every public name the package resolves is the one object that each of
+# its modules binding that name holds.
+SAME_OBJECTS = """\
+import importlib, pkgutil, sys, tagrtg
+resolved = {name: getattr(tagrtg, name) for name in tagrtg.__all__}
+modules = [importlib.import_module(f"tagrtg.{m.name}") for m in pkgutil.iter_modules(tagrtg.__path__)]
+print(sorted(
+    name for name, value in resolved.items()
+    for module in modules if vars(module).get(name, value) is not value
+), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        (f"import tagrtg; {LOADED}", []),
+        (f"from tagrtg.cli import main; main(['check', {str(GOLDEN / 'example2.rtg')!r},"
+         f" {GOOD_TREE!r}]); {LOADED}", ENGINE),
+        (f"from tagrtg.cli import main; main(['enumerate', {str(GOLDEN / 'example2.rtg')!r},"
+         f" '--max-depth', '3']); {LOADED}", ENGINE),
+        (SAME_OBJECTS, []),
+    ],
+    ids=["import", "check", "enumerate", "names"],
+)
+def test_a_fresh_process_loads_only_the_modules_it_runs(code, expected):
+    env = dict(os.environ, PYTHONPATH=str(Path(tagrtg.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, f"{expected}\n")
+
+
 def test_translated_grammar_declares_an_axiom_no_node_carries(tmp_path, capsys):
     tag = tmp_path / "startless.tag"
     tag.write_text('start: S;\ninitial n { (NP kind=adj (word "n")) }\n')

@@ -27,9 +27,12 @@ def test_translate_builds_both_forms():
 
 
 def test_all_lists_the_public_names_the_package_binds():
-    bound = [
+    # The package binds a name only when it is first read, so ask it
+    # through dir() and getattr rather than read its namespace.
+    public = {
         name
-        for name, value in vars(tagrtg).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    ]
-    assert sorted(tagrtg.__all__) == sorted(bound + ["__version__"])
+        for name in dir(tagrtg)
+        if not name.startswith("_") and not isinstance(getattr(tagrtg, name), ModuleType)
+    }
+    assert sorted(tagrtg.__all__) == sorted(public | {"__version__"})
+    assert all(hasattr(tagrtg, name) for name in tagrtg.__all__)

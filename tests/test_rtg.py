@@ -803,8 +803,12 @@ def test_replaced_rules_get_a_fresh_index():
 def test_a_grammar_that_has_fired_pickles_and_copies(features):
     grammar = to_fbrtg(load_tag(bundled_grammar("fig2")))
     grammar = reduce_grammar(grammar if features else erase_features(grammar))
+    unused = len(pickle.dumps(grammar))
     trees = list(enumerate_trees(grammar, 3))
     assert trees and accepts_detailed(grammar, trees[-1]).steps
+    # The index is rebuilt from the fields, so neither carries it along.
+    assert len(pickle.dumps(grammar)) == unused
     for again in (pickle.loads(pickle.dumps(grammar)), copy.copy(grammar)):
-        assert again == grammar
+        assert again == grammar and "index" not in vars(again)
         assert list(enumerate_trees(again, 3)) == trees
+        assert again.index is not grammar.index
