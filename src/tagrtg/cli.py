@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 # The .rtg reader and writer, and the engine under them, serve every
 # command but `stats`; a command imports what only it runs (the TAG
@@ -27,7 +26,7 @@ from tagrtg.rtg import (
     erase_features,
     reduce_grammar,
 )
-from tagrtg.rtg_io import format_rtg, load_rtg
+from tagrtg.rtg_io import format_rtg, load_rtg, save_rtg
 from tagrtg.trees import parse_tree, to_dot
 
 
@@ -41,11 +40,10 @@ def cmd_translate(args) -> int:
         result = erase_features(result)
     if args.reduce:
         result = reduce_grammar(result)
-    text = format_rtg(result)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        save_rtg(result, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_rtg(result))
     return 0
 
 

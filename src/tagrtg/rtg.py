@@ -32,6 +32,8 @@ from tagrtg.trees import ROOT, DerivTree, child_position
 
 EPS_SUBST = "e_S"
 EPS_ADJOIN = "e_A"
+# The rule forms a grammar comes in.
+FORMS = ("standard", "lc")
 
 
 # A nonterminal is its name, the same string in grammar indexes and
@@ -119,15 +121,14 @@ class GrammarIndex:
     """Lookup tables over a grammar's declarations and rules.
 
     Every rule list keeps grammar rule order, which fixes the order in
-    which derivations try their candidates.  The grammar is validated
-    first, so every rule's (terminal, rank) is declared in `ranks`.
-    Enumeration reads the rules without slots (`leaf_rules`), one tree
-    per terminal they use (`leaves`), and whether two rules share a
-    (left-hand side, terminal, rank) shape (`repeated_shape`).
+    which derivations try their candidates.  A grammar is valid from the
+    moment it is built, so every rule's (terminal, rank) is declared in
+    `ranks`.  Enumeration reads the rules without slots (`leaf_rules`),
+    one tree per terminal they use (`leaves`), and whether two rules
+    share a (left-hand side, terminal, rank) shape (`repeated_shape`).
     """
 
     def __init__(self, grammar: FbRtg):
-        grammar.validate()
         self.ranks: dict[str, int] = dict(grammar.terminals)
         self.sites: dict[str, SiteInfo] = dict(grammar.sites)
         self.by_lhs: dict[Nonterminal, list[FbRule]] = {}
@@ -146,12 +147,17 @@ class GrammarIndex:
 
 @dataclass(frozen=True)
 class FbRtg:
+    """A valid grammar: building one (`replace`, copy, unpickling) runs `validate`."""
+
     axiom: Nonterminal
     nonterminals: tuple[Nonterminal, ...]
     terminals: tuple[tuple[str, int], ...]
     rules: tuple[FbRule, ...]
     form: str = "standard"
     sites: tuple[tuple[str, SiteInfo], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def __reduce__(self):
         # Copies and pickles leave the index behind; a copy builds its own.
@@ -166,7 +172,11 @@ class FbRtg:
         return GrammarIndex(self)
 
     def validate(self) -> None:
+        if self.form not in FORMS:
+            raise GrammarError(f"unknown rule form {self.form!r}")
         declared = set(self.nonterminals)
+        if len(declared) != len(self.nonterminals):
+            raise NonterminalMismatch("duplicate nonterminal declaration")
         if self.axiom not in declared:
             raise NonterminalMismatch(f"axiom {self.axiom} is not declared")
         ranks = dict(self.terminals)
@@ -185,6 +195,8 @@ class FbRtg:
                     f"terminal {rule.terminal!r} has rank {ranks[rule.terminal]}, "
                     f"but {rule} uses {rule.rank} slots"
                 )
+        if len(dict(self.sites)) != len(self.sites):
+            raise AlphabetError("duplicate site entry")
         for name, _ in self.sites:
             if name not in ranks:
                 raise AlphabetError(f"site entry for undeclared terminal {name!r}")
@@ -459,8 +471,8 @@ def accepts_detailed(grammar: FbRtg, tree: DerivTree) -> CheckResult:
     if chain is None:
         index, chain, failure = deepest
         # The search rewrites the tree's nodes in preorder, one per step, and
-        # each node before the deepest step took a rule with a declared
-        # (terminal, rank): no node outside the alphabet comes earlier.
+        # each node before the deepest step took a rule, so its (terminal,
+        # rank) is declared: no node outside the alphabet comes earlier.
         ranks, position = grammar.index.ranks, None
         for pos, node in islice(tree.positions(), index - 1, None):
             if position is None:

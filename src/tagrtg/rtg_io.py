@@ -35,11 +35,10 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from tagrtg.features import FeatureSyntaxError, format_feature, parse_feature_at
-from tagrtg.rtg import FbRtg, FbRule, SiteInfo, Slot
+from tagrtg.rtg import FORMS, FbRtg, FbRule, SiteInfo, Slot
 
 FORMAT_VERSION = 1
 
-_FORMS = ("standard", "lc")
 _KINDS = ("initial", "auxiliary")
 _SLOT_KINDS = frozenset(("adj", "subst"))
 
@@ -206,7 +205,7 @@ def parse_rtg(text: str) -> FbRtg:
         raise RtgParseError("expected version line 'rtg 1 <form>'", number)
     if words[1] != str(FORMAT_VERSION):
         raise RtgParseError(f"unsupported format version {words[1]!r}", number)
-    if words[2] not in _FORMS:
+    if words[2] not in FORMS:
         raise RtgParseError(f"unknown rule form {words[2]!r}", number)
     form = words[2]
 
@@ -231,7 +230,7 @@ def parse_rtg(text: str) -> FbRtg:
     if line is not None:
         raise RtgParseError(f"unexpected trailing content {line!r}", number)
 
-    grammar = FbRtg(
+    return FbRtg(
         axiom=axiom,
         nonterminals=nonterminals,
         terminals=tuple(terminals),
@@ -239,8 +238,6 @@ def parse_rtg(text: str) -> FbRtg:
         form=form,
         sites=sites,
     )
-    grammar.validate()
-    return grammar
 
 
 def load_rtg(path: Union[str, Path]) -> FbRtg:

@@ -201,10 +201,21 @@ FILE_COMMANDS = {
 }
 
 
+# A fault in a .rtg file: the text it replaces, its replacement, and the message.
+RTG_FAULTS = {
+    "rank": (b"caught/3", "caught/²".encode(),
+             "error: line 4: bad terminal declaration 'caught/²'\n"),
+    "nonterminal": (b"nonterminals: S_S,", b"nonterminals: S_S, S_S,",
+                    "error: duplicate nonterminal declaration\n"),
+    "site": (b"  a = auxiliary", b"  a = initial inactive ();\n  a = auxiliary",
+             "error: duplicate site entry\n"),
+}
+
+
 @pytest.mark.parametrize(
     "command, fault",
     [(command, "xff") for command in FILE_COMMANDS]
-    + [(command, "rank") for command in ("check", "enumerate", "invert")],
+    + [(command, fault) for fault in RTG_FAULTS for command in ("check", "enumerate", "invert")],
 )
 def test_files_no_reader_takes_exit_2(tmp_path, capsys, command, fault):
     source, *rest = FILE_COMMANDS[command]
@@ -216,8 +227,8 @@ def test_files_no_reader_takes_exit_2(tmp_path, capsys, command, fault):
             ".rtg": "error: line 1: byte 0xff is not UTF-8\n",
         }[Path(source).suffix]
     else:
-        data = data.replace(b"caught/3", "caught/²".encode())
-        message = "error: line 4: bad terminal declaration 'caught/²'\n"
+        old, new, message = RTG_FAULTS[fault]
+        data = data.replace(old, new, 1)
     path = tmp_path / Path(source).name
     path.write_bytes(data)
     assert main([command, str(path), *rest]) == 2

@@ -29,6 +29,7 @@ from tagrtg.features import (
     read_back,
     unify_nodes,
 )
+from tagrtg.cli import main
 from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
     EPS_ADJOIN,
@@ -53,6 +54,7 @@ from test_acceptance import _replicate, random_tag
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
 BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
+GOLDEN_EXAMPLE2 = Path(__file__).parent / "golden" / "example2.rtg"
 
 
 # ------------------------------------------------------------ derive_step
@@ -700,31 +702,40 @@ def test_reduce_preserves_bounded_language():
 
 
 def test_validate_catches_mismatches(feature_grammar):
-    bad_nt = FbRtg(
-        axiom="Z_S",
-        nonterminals=feature_grammar.nonterminals,
-        terminals=feature_grammar.terminals,
-        rules=feature_grammar.rules,
-    )
+    # A grammar validates itself when it is built, so no bad one ever
+    # reaches the index, `accepts` or enumeration.
     with pytest.raises(NonterminalMismatch):
-        bad_nt.validate()
-    bad_rank = FbRtg(
-        axiom=feature_grammar.axiom,
-        nonterminals=feature_grammar.nonterminals,
-        terminals=tuple((t, r + 1 if t == "has" else r) for t, r in feature_grammar.terminals),
-        rules=feature_grammar.rules,
-    )
+        FbRtg(
+            axiom="Z_S",
+            nonterminals=feature_grammar.nonterminals,
+            terminals=feature_grammar.terminals,
+            rules=feature_grammar.rules,
+        )
     with pytest.raises(AlphabetError):
-        bad_rank.validate()
+        FbRtg(
+            axiom=feature_grammar.axiom,
+            nonterminals=feature_grammar.nonterminals,
+            terminals=tuple((t, r + 1 if t == "has" else r) for t, r in feature_grammar.terminals),
+            rules=feature_grammar.rules,
+        )
     feature_grammar.validate()
-    # The index validates its grammar, so no use of a bad one gets past it.
-    for bad, error in ((bad_nt, NonterminalMismatch), (bad_rank, AlphabetError)):
-        with pytest.raises(error):
-            bad.index
-        with pytest.raises(error):
-            accepts(bad, GOOD)
-        with pytest.raises(error):
-            next(enumerate_trees(bad, 3))
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        (lambda g: {"nonterminals": g.nonterminals + (g.axiom,)}, NonterminalMismatch,
+         "duplicate nonterminal declaration"),
+        (lambda g: {"sites": g.sites + g.sites[:1]}, AlphabetError, "duplicate site entry"),
+        # `format_rtg` would write a version line that `parse_rtg` rejects.
+        (lambda g: {"form": "LC"}, GrammarError, "unknown rule form 'LC'"),
+    ],
+    ids=["nonterminal", "site", "form"],
+)
+def test_grammars_reject_what_rtg_files_reject(feature_grammar, fields, error, message):
+    with pytest.raises(GrammarError) as err:
+        dataclasses.replace(feature_grammar, **fields(feature_grammar))
+    assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_rule_rendering(feature_grammar):
@@ -812,3 +823,25 @@ def test_a_grammar_that_has_fired_pickles_and_copies(features):
         assert again == grammar and "index" not in vars(again)
         assert list(enumerate_trees(again, 3)) == trees
         assert again.index is not grammar.index
+
+
+def test_a_grammar_is_validated_once_when_it_is_built(monkeypatch, feature_grammar):
+    calls = []
+    validate = FbRtg.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FbRtg, "validate", counted)
+    grammar = parse_rtg(GOLDEN_EXAMPLE2.read_text(encoding="utf-8"))
+    assert len(calls) == 1
+    calls.clear()
+    assert grammar.index.ranks["caught"] == 3
+    assert calls == []
+    assert main(["check", str(GOLDEN_EXAMPLE2), str(GOOD)]) == 0
+    assert len(calls) == 1
+    with pytest.raises(NonterminalMismatch):
+        dataclasses.replace(feature_grammar, axiom="Z_S")
+    assert copy.copy(feature_grammar) == feature_grammar
+    assert pickle.loads(pickle.dumps(feature_grammar)) == feature_grammar
