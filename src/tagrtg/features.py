@@ -105,6 +105,10 @@ class Substitution:
     def items(self) -> Iterator[tuple[str, FeatureTerm]]:
         return iter(sorted(self.bindings.items()))
 
+    def __hash__(self) -> int:
+        # Agrees with the generated `==`, which compares the dicts.
+        return hash(frozenset(self.bindings.items()))
+
     def __str__(self) -> str:
         inner = ", ".join(f"{v} = {format_feature(t)}" for v, t in self.items())
         return "{" + inner + "}"

@@ -25,7 +25,14 @@ constraint: conjuncts joined by ``&``, each of them whatever
 contain ``(``, ``)``, ``&`` or ``->``, and a bare atom or variable ends
 only at whitespace or at one of ``[]:,?``; one that ends a slot list is
 written with a space before the ``)``.  Terminal names may contain
-spaces.  No name contains any of ``=/,;&()`` or brackets.
+spaces and ``/``.
+
+The writer refuses a grammar with a name the reader would not read back
+as itself: an empty nonterminal; a name with a comma, a line break or
+whitespace at either end; a nonterminal of a rule that is not one name token as above, or a
+left-hand side starting with ``#``; a terminal of a rule that is empty
+or holds ``(``; a terminal with a site entry that holds ``=`` or starts
+with ``#``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from tagrtg.features import FeatureSyntaxError, format_feature, parse_feature_at
-from tagrtg.rtg import FORMS, FbRtg, FbRule, SiteInfo, Slot
+from tagrtg.rtg import FORMS, FbRtg, FbRule, GrammarError, SiteInfo, Slot
 
 FORMAT_VERSION = 1
 
@@ -52,7 +59,48 @@ class RtgParseError(ValueError):
 # -------------------------------------------------------------- writing
 
 
+def _declared(name: str) -> bool:
+    """Whether a declaration line reads `name` back as itself: the
+    reader splits lines and names at commas, and strips each name."""
+    return "," not in name and name == name.strip() and name.splitlines() in ([], [name])
+
+
+def _unreadable_name(grammar: FbRtg) -> Optional[str]:
+    """The first nonterminal or terminal that would not read back as
+    itself, or None.  The grammar is valid, so every name of a rule is
+    declared: the rules are searched only when a declared name could
+    not stand in one."""
+    for nt in grammar.nonterminals:
+        if not nt or not _declared(nt):
+            return f"nonterminal {nt!r}"
+    for name, _ in grammar.terminals:
+        if not _declared(name):
+            return f"terminal {name!r}"
+    # A declared name has no whitespace at either end, so _NAME matches
+    # all of it exactly when it is one name token.
+    slots = {nt for nt in grammar.nonterminals if not _NAME.fullmatch(nt)}
+    lhs = slots | {nt for nt in grammar.nonterminals if nt.startswith("#")}
+    terminals = {name for name, _ in grammar.terminals if not name or "(" in name}
+    if lhs or terminals:
+        for rule in grammar.rules:
+            if rule.lhs in lhs:
+                return f"nonterminal {rule.lhs!r}"
+            for nt, _ in rule.rhs:
+                if nt in slots:
+                    return f"nonterminal {nt!r}"
+            if rule.terminal in terminals:
+                return f"terminal {rule.terminal!r}"
+    for name, _ in grammar.sites:
+        if "=" in name or name.startswith("#"):
+            return f"terminal {name!r}"
+    return None
+
+
 def format_rtg(grammar: FbRtg) -> str:
+    """The grammar as `.rtg` text; a `GrammarError` if it has a name
+    that `parse_rtg` would not read back as itself."""
+    if bad := _unreadable_name(grammar):
+        raise GrammarError(f"{bad} would not read back from a .rtg file")
     out = [f"rtg {FORMAT_VERSION} {grammar.form}"]
     out.append(f"axiom: {grammar.axiom};")
     out.append("nonterminals: " + ", ".join(grammar.nonterminals) + ";")

@@ -3,9 +3,18 @@
 The two fixture grammars below are written out rule by rule, on
 purpose: they are the expected values that the translation and
 reduction code must reproduce, so nothing here may call it.
+
+The seeded random corpora and the oracles that share no code with the
+library live with the benchmark, in `perfbench/inputs.py` and
+`perfbench/oracles.py`; the tests import them from there.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tagrtg.features import parse_feature
 from tagrtg.rtg import FbRtg, FbRule, Nonterminal, SiteInfo

@@ -10,14 +10,15 @@ yields one pass/fail line per criterion.
 """
 
 import gc
-import random
 import time
+from collections import Counter
 from itertools import product, repeat
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from inputs import flat_feature_grammar, random_tag, replicate_text
+from oracles import flat_language, tree_size
 from tagrtg.cli import main
 from tagrtg.features import (
     TOP,
@@ -30,14 +31,10 @@ from tagrtg.features import (
     format_feature,
     freshen,
     unify,
-    unify_all,
     variables,
 )
 from tagrtg.leftcorner import lc_image, lc_inverse
 from tagrtg.rtg import (
-    FbRtg,
-    FbRule,
-    Nonterminal,
     _derivations,
     accepts,
     accepts_detailed,
@@ -46,7 +43,7 @@ from tagrtg.rtg import (
     reduce_grammar,
 )
 from tagrtg.rtg_io import parse_rtg
-from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar
+from tagrtg.tag import bundled_grammar, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
 from terms import alpha_equal, is_idempotent, substitute
@@ -162,105 +159,13 @@ def test_criterion_6_inverse_roundtrip(fig2):
 # ---------------------------------------------------- randomized grammars
 
 
-def _random_flat_constraint(rng):
-    """() or a single flat AVM over {f, g} with atoms {a, b} and ?x/?y."""
-    if rng.random() < 0.3:
-        return ()
-    attrs = rng.sample(["f", "g"], rng.randint(1, 2))
-    values = [rng.choice([Atom("a"), Atom("b"), Var("x"), Var("y")]) for _ in attrs]
-    return (Avm(tuple(sorted(zip(attrs, values)))),)
-
-
-def random_feature_grammar(seed):
-    rng = random.Random(seed)
-    nts = tuple(Nonterminal(f"X{i}") for i in range(rng.randint(1, 4)))
-    rules, terminals = [], []
-    for i in range(rng.randint(1, 6)):
-        rank = rng.choices([0, 1, 2], weights=[5, 4, 1])[0]
-        terminals.append((f"t{i}", rank))
-        rules.append(
-            FbRule(
-                rng.choice(nts),
-                _random_flat_constraint(rng),
-                f"t{i}",
-                tuple((rng.choice(nts), _random_flat_constraint(rng)) for _ in range(rank)),
-            )
-        )
-    return FbRtg(
-        axiom=nts[0],
-        nonterminals=nts,
-        terminals=tuple(sorted(terminals)),
-        rules=tuple(rules),
-        form="standard",
-        sites=(),
-    )
-
-
-def _constraint_variables(feat):
-    names = set()
-    for conjunct in feat:
-        names |= variables(conjunct)
-    return names
-
-
-def _ground_instances(rule):
-    """All instantiations of the rule's variables with atoms a/b."""
-    names = sorted(
-        _constraint_variables(rule.lhs_feat).union(
-            *[_constraint_variables(feat) for _, feat in rule.rhs], set()
-        )
-    )
-    for combo in product((Atom("a"), Atom("b")), repeat=len(names)):
-        theta = Substitution(dict(zip(names, combo)))
-
-        def ground(feat):
-            folded = unify_all([apply(theta, c) for c in feat])
-            return None if folded is None else folded[0]
-
-        lhs = ground(rule.lhs_feat)
-        if lhs is None:
-            continue
-        slots = []
-        for nt, feat in rule.rhs:
-            g = ground(feat)
-            if g is None:
-                break
-            slots.append((nt, g))
-        else:
-            yield rule.lhs, lhs, rule.terminal, tuple(slots)
-
-
-def product_construction_language(grammar, depth):
-    """Brute-force oracle: expand states (nonterminal, ground term) and
-    collect every tree of height <= depth bottom-up."""
-    instances = [gi for rule in grammar.rules for gi in _ground_instances(rule)]
-    memo = {}
-
-    def language(nt, feat, d):
-        key = (nt, feat, d)
-        if key in memo:
-            return memo[key]
-        out = set()
-        if d >= 1:
-            for lhs, lhs_ground, terminal, slots in instances:
-                if lhs != nt or unify(feat, lhs_ground) is None:
-                    continue
-                child_sets = [language(child, child_feat, d - 1) for child, child_feat in slots]
-                for combo in product(*child_sets):
-                    out.add(DerivTree(terminal, combo))
-        memo[key] = out
-        return out
-
-    return language(grammar.axiom, TOP, depth)
-
-
 def test_criterion_7_enumeration_matches_product_oracle():
     start = time.perf_counter()
     sizes = []
     for seed in range(50):
-        grammar = random_feature_grammar(seed)
+        grammar = flat_feature_grammar(seed)
         enumerated = set(enumerate_trees(grammar, 4))
-        oracle = product_construction_language(grammar, 4)
+        oracle = flat_language(grammar, 4)
         assert enumerated == oracle, (
             f"seed {seed}: {len(enumerated)} enumerated vs {len(oracle)} oracle trees"
         )
@@ -270,50 +175,6 @@ def test_criterion_7_enumeration_matches_product_oracle():
     assert sum(sizes) == 1814 and max(sizes) == 676
     assert sum(1 for s in sizes if s) == 34
     assert elapsed < 60.0
-
-
-def _random_small_avm(rng):
-    if rng.random() < 0.4:
-        return TOP
-    attrs = rng.sample(["f", "g"], rng.randint(1, 2))
-    values = [rng.choice([Atom("a"), Atom("b"), Var("x")]) for _ in attrs]
-    return Avm(tuple(sorted(zip(attrs, values))))
-
-
-def random_tag(seed):
-    """Small TAGs in the same size envelope as the random grammars."""
-    rng = random.Random(seed)
-    labels = ["A", "B", "C", "D"][: rng.randint(1, 4)]
-    trees = []
-    for i in range(rng.randint(1, 6)):
-        auxiliary = rng.random() < 0.4
-        label = rng.choice(labels)
-        kids = []
-        for _ in range(rng.randint(0, 2)):
-            child = rng.choice(labels)
-            if rng.random() < 0.5:
-                kids.append(TreeNode(child, NodeKind.SUBSTITUTION, _random_small_avm(rng), TOP, ()))
-            else:
-                kids.append(
-                    TreeNode(child, NodeKind.ADJUNCTION,
-                             _random_small_avm(rng), _random_small_avm(rng), ())
-                )
-        kids.append(TreeNode(f"w{i}", NodeKind.ANCHOR, TOP, TOP, ()))
-        if auxiliary:
-            kids.append(TreeNode(label, NodeKind.FOOT, TOP, _random_small_avm(rng), ()))
-            root = TreeNode(label, NodeKind.ADJUNCTION,
-                            _random_small_avm(rng), _random_small_avm(rng), tuple(kids))
-        else:
-            active = rng.random() < 0.7
-            root = TreeNode(
-                label,
-                NodeKind.ADJUNCTION if active else NodeKind.INTERNAL,
-                _random_small_avm(rng) if active else TOP,
-                _random_small_avm(rng),
-                tuple(kids),
-            )
-        trees.append(ElemTree(f"g{i}", auxiliary, root))
-    return Tag(labels[0], tuple(trees))
 
 
 def _lc_disagreements(seeds, height, reduced=False):
@@ -407,13 +268,51 @@ def test_standard_and_left_corner_forms_derive_the_same_trees():
     assert time.perf_counter() - start < 60.0
 
 
-def _replicate(tag, factor):
-    trees = tuple(
-        ElemTree(f"{tree.name}_{copy}", tree.auxiliary, tree.root)
-        for copy in range(factor)
-        for tree in tag.trees
-    )
-    return Tag(tag.start, trees)
+def _size_counts(grammar, max_size):
+    """count[n]: the derivations from the axiom with n nodes, n <= max_size.
+
+    A rule derives a tree of n nodes from slot trees of n - 1 nodes in
+    all, so count[nt][n] sums, over the rules of nt, the convolution of
+    their slots' counts at n - 1.  partial[i][k] keeps that convolution
+    over a rule's first i slots, filled in one total k at a time.
+    """
+    count = {nt: [0] * (max_size + 1) for nt in grammar.nonterminals}
+    partials = [
+        [[1] + [0] * max_size] + [[0] * (max_size + 1) for _ in rule.rhs]
+        for rule in grammar.rules
+    ]
+    for n in range(1, max_size + 1):
+        for rule, partial in zip(grammar.rules, partials):
+            for i, (nt, _) in enumerate(rule.rhs, start=1):
+                below, row = partial[i - 1], count[nt]
+                partial[i][n - 1] = sum(below[j] * row[n - 1 - j] for j in range(n - 1))
+            count[rule.lhs][n] += partial[-1][n - 1]
+    return count[grammar.axiom]
+
+
+def _plain_forms(tag):
+    """The plain standard and left-corner forms of `tag`, then both reduced."""
+    std, lc = erase_features(to_fbrtg(tag)), erase_features(lc_fbrtg(tag))
+    return [(std, lc), (reduce_grammar(std), reduce_grammar(lc))]
+
+
+def test_standard_and_left_corner_forms_have_equal_tree_counts_at_every_size(fig2):
+    start = time.perf_counter()
+    for tag, max_size in [(random_tag(seed), 25) for seed in range(300)] + [(fig2, 30)]:
+        for std, lc in _plain_forms(tag):
+            # No rule shape repeats, so each tree has one derivation.
+            assert not std.index.repeated_shape and not lc.index.repeated_shape
+            assert _size_counts(std, max_size) == _size_counts(lc, max_size)
+    (std, lc), _ = _plain_forms(fig2)
+    assert _size_counts(std, 30)[30] == _size_counts(lc, 30)[30] == 8_268_629_520
+    # The counter against enumeration.  A tree's height never exceeds
+    # its size, so enumerating to height h finds every tree of at most h
+    # nodes.  At height 6, ten of seeds 0-49 have over 100,000 trees.
+    for tag, height in [(fig2, 6)] + [(random_tag(seed), 4) for seed in range(50)]:
+        for grammar in (g for pair in _plain_forms(tag) for g in pair):
+            sizes = Counter(tree_size(tree) for tree in enumerate_trees(grammar, height))
+            assert [sizes[n] for n in range(height + 1)] == _size_counts(grammar, height)
+    assert time.perf_counter() - start < 10.0
 
 
 def _best_times(tags, rounds):
@@ -436,14 +335,14 @@ def _best_times(tags, rounds):
 def test_criterion_8_size_bound_and_linear_time(fig2):
     for seed in range(50):
         tag = random_tag(seed)
-        tag.validate()
         lc, std = erase_features(lc_fbrtg(tag)), erase_features(to_fbrtg(tag))
         assert len(lc.rules) <= 2 * len(std.rules), f"seed {seed}"
     assert len(erase_features(to_fbrtg(fig2)).rules) == 13
     assert len(erase_features(lc_fbrtg(fig2)).rules) == 23 <= 2 * 13
 
     factors = (1, 10, 100)
-    times = _best_times([_replicate(fig2, factor) for factor in factors], 100)
+    text = bundled_grammar("fig2").read_text()
+    times = _best_times([parse_tag(replicate_text(text, factor)) for factor in factors], 100)
     points = [(7 * factor, t) for factor, t in zip(factors, times)]
     # relative-error weighted least squares: every scale counts equally,
     # so superlinear growth shows up at either end

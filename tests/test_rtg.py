@@ -14,11 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from inputs import random_tag, replicate_text
+from oracles import tree_height
 from tagrtg.features import (
     TOP,
     Atom,
     Avm,
     Node,
+    Substitution,
     Var,
     _factory,
     bindings,
@@ -50,7 +53,6 @@ from tagrtg.rtg_io import format_rtg, load_rtg, parse_rtg
 from tagrtg.tag import bundled_grammar, load_tag, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, ValueTree, parse_tree
-from test_acceptance import _replicate, random_tag
 
 GOOD = parse_tree("caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))")
 BAD = parse_tree("caught(cats(one of(the(e_A))), has(e_A), fish(a(e_A)))")
@@ -257,8 +259,8 @@ def test_rules_of_one_shape_share_one_compile():
     assert read_back(slot_sg) == parse_feature("[shared_agr: 3sg]")
     assert read_back(slot_pl) == parse_feature("[shared_agr: 3pl]")
     # fig2 x20 has one empty-adjunction rule per nonterminal, all alike.
-    fig2 = load_tag(bundled_grammar("fig2"))
-    epsilon = [r for r in to_fbrtg(_replicate(fig2, 20)).rules if r.terminal == EPS_ADJOIN]
+    fig2_x20 = parse_tag(replicate_text(bundled_grammar("fig2").read_text(), 20))
+    epsilon = [r for r in to_fbrtg(fig2_x20).rules if r.terminal == EPS_ADJOIN]
     misses = _factory.cache_info().misses
     for rule in epsilon:
         derive_step(rule, None, "", [])
@@ -312,6 +314,15 @@ def test_trace_is_leftmost_and_binds_agreement(feature_grammar):
     assert fifth.rule.terminal == "e_A"
     assert fifth.delta.bindings.get("ε.x") == Atom("3sg")
     assert "ε.x = 3sg" in str(fifth.delta)
+
+
+def test_steps_and_environments_hash(feature_grammar):
+    result = accepts_detailed(feature_grammar, GOOD)
+    assert len(set(result.steps)) == len(result.steps) == 10
+    assert {result.env: None}
+    bindings = [("x", Atom("3sg")), ("t", Avm([("agr", Var("x"))])), ("y", Var("t"))]
+    forward, backward = Substitution(dict(bindings)), Substitution(dict(bindings[::-1]))
+    assert forward == backward and hash(forward) == hash(backward)
 
 
 def test_rejects_swapped_determiners_with_diagnostics(feature_grammar):
@@ -678,10 +689,6 @@ def test_reduce_keeps_already_reduced_grammar(feature_grammar):
     assert reduce_grammar(feature_grammar) == feature_grammar
 
 
-def height(tree):
-    return 1 + max((height(child) for child in tree.children), default=0)
-
-
 def test_reduce_preserves_bounded_language():
     toy = _toy_grammar()
     reduced = reduce_grammar(toy)
@@ -697,7 +704,7 @@ def test_reduce_preserves_bounded_language():
             kept = ()
         return DerivTree(tree.label, kept)
     stripped = {strip(t) for t in enumerate_trees(toy, 6)}
-    original = {str(t) for t in stripped if height(t) <= 5}
+    original = {str(t) for t in stripped if tree_height(t) <= 5}
     assert {str(t) for t in enumerate_trees(reduced, 5)} == original
 
 

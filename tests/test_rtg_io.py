@@ -1,11 +1,23 @@
 """Grammar file round trips and parse diagnostics."""
 
+from contextlib import suppress
 from itertools import zip_longest
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tagrtg import rtg_io
 from tagrtg.features import parse_feature
-from tagrtg.rtg import FbRtg, FbRule, Nonterminal, NonterminalMismatch, reduce_grammar
+from tagrtg.rtg import (
+    FbRtg,
+    FbRule,
+    GrammarError,
+    Nonterminal,
+    NonterminalMismatch,
+    SiteInfo,
+    reduce_grammar,
+)
 from tagrtg.rtg_io import RtgParseError, format_rtg, load_rtg, parse_rtg, save_rtg
 from tagrtg.tag import parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
@@ -242,3 +254,80 @@ def test_lc_form_is_preserved(feature_grammar):
     parsed = parse_rtg(format_rtg(relabeled))
     assert parsed.form == "lc"
     assert parsed == relabeled
+
+
+
+def _one_rule(nt="S", terminal="a", rank=0, site=False):
+    """S -> a(S, ...) with `rank` slots, and a site entry for a if `site`."""
+    sites = ((terminal, SiteInfo("initial", True, ("adj",) * rank)),) if site else ()
+    rule = FbRule(nt, (), terminal, ((nt, ()),) * rank)
+    return FbRtg(nt, (nt,), ((terminal, rank),), (rule,), sites=sites)
+
+
+@pytest.mark.parametrize(
+    "grammar, refused",
+    [
+        # Read back, these name X in the rule, declare no rank for a, turn
+        # the rule into a comment and name the terminal a.
+        (_one_rule(nt="X Y"), "nonterminal 'X Y'"),
+        (_one_rule(terminal="a,b"), "terminal 'a,b'"),
+        (_one_rule(nt="#S"), "nonterminal '#S'"),
+        (_one_rule(terminal=" a"), "terminal ' a'"),
+        (_one_rule(terminal="a/b", site=True), None),
+        (_one_rule(terminal="a b", rank=2), None),
+    ],
+)
+def test_writer_refuses_names_that_would_not_read_back(tmp_path, grammar, refused):
+    target = tmp_path / "out.rtg"
+    if refused is None:
+        save_rtg(grammar, target)
+        assert load_rtg(target) == grammar
+        return
+    with pytest.raises(GrammarError) as err:
+        save_rtg(grammar, target)
+    assert str(err.value) == f"{refused} would not read back from a .rtg file"
+    assert not target.exists()  # formatted before the file is opened
+
+
+# Half the names are plain words, so that many grammars are written.
+NAMES = st.one_of(
+    st.text("abST", min_size=1, max_size=3), st.text("ab \n\x1c#,=()->;/", max_size=3)
+)
+
+
+@st.composite
+def named_grammars(draw):
+    nts = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    terminals = draw(st.lists(st.tuples(NAMES, st.integers(0, 2)), min_size=1, max_size=3,
+                              unique_by=lambda t: t[0]))
+    rules = tuple(
+        FbRule(draw(st.sampled_from(nts)), (), name,
+               tuple((draw(st.sampled_from(nts)), ()) for _ in range(rank)))
+        for name, rank in terminals if draw(st.booleans())
+    )
+    sites = tuple((name, SiteInfo("auxiliary", False, ("subst",) * rank))
+                  for name, rank in terminals if draw(st.booleans()))
+    return FbRtg(nts[0], tuple(nts), tuple(terminals), rules, sites=sites)
+
+
+def test_writer_refuses_exactly_the_grammars_that_would_not_read_back():
+    outcomes = {"written": 0, "refused": 0}
+
+    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @given(named_grammars())
+    def round_trip(grammar):
+        try:
+            text = format_rtg(grammar)
+        except GrammarError:
+            outcomes["refused"] += 1
+            # Written all the same, it reads back as another grammar or not at all.
+            with mock.patch.object(rtg_io, "_unreadable_name", return_value=None):
+                text = format_rtg(grammar)
+            with suppress(ValueError):
+                assert parse_rtg(text) != grammar
+        else:
+            outcomes["written"] += 1
+            assert parse_rtg(text) == grammar
+
+    round_trip()
+    assert min(outcomes.values()) > 300, outcomes

@@ -4,6 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import tree_height, tree_size
 from tagrtg.features import parse_feature
 from tagrtg.tag import NodeKind, TreeNode
 
@@ -102,14 +103,10 @@ def test_parse_rejects(text):
     assert err.value.position == position
 
 
-def height(tree):
-    return 1 + max((height(child) for child in tree.children), default=0)
-
-
 def test_size_and_height():
     tree = parse_tree(EXAMPLE)
     assert len(list(tree.positions())) == 10
-    assert height(tree) == 5
+    assert tree_height(tree) == 5
 
 
 def test_positions_are_gorn_addresses():
@@ -170,10 +167,7 @@ def test_round_trip(tree):
 
 @given(tree_strategy())
 def test_positions_count_matches_size(tree):
-    def size(node):
-        return 1 + sum(size(child) for child in node.children)
-
-    assert len(list(tree.positions())) == size(tree)
+    assert len(list(tree.positions())) == tree_size(tree)
 
 
 def test_deep_trees_parse_and_print():
