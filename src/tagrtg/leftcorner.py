@@ -13,10 +13,19 @@ the stack of adjunctions.  The grammars themselves are built in
 from __future__ import annotations
 
 from tagrtg.rtg import EPS_ADJOIN, EPS_SUBST, FbRtg, GrammarError, SiteInfo
-# Re-exported from its former home: perfbench/tracing.py looks
-# lc_fbrtg up in this module.
-from tagrtg.translate import lc_fbrtg  # noqa: F401
 from tagrtg.trees import DerivTree
+
+
+def __getattr__(name):
+    # `lc_fbrtg` is still read from its former home (perfbench/tracing.py
+    # looks it up here), but only a process that reads it loads
+    # `translate` (PEP 562).
+    if name != "lc_fbrtg":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from tagrtg.translate import lc_fbrtg
+
+    globals()[name] = lc_fbrtg
+    return lc_fbrtg
 
 
 class MalformedLcTree(ValueError):

@@ -22,7 +22,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from tagrtg.features import (
     IDENTITY, Avm, FeatureTerm, Substitution, bindings, compile_fire, fold, format_feature,
@@ -97,12 +97,21 @@ class SiteInfo:
     left-corner form does with the root of an initial tree: the rule's
     slot i stands for slot_kinds[i - 1 + len(slot_kinds) - rank].
     Reduction drops the kinds of the slots it drops.  The inverse
-    transformation dispatches on it.
+    transformation dispatches on it.  Building one with a tree kind
+    other than `initial`/`auxiliary`, or a slot kind other than
+    `adj`/`subst`, raises `GrammarError`.
     """
 
     tree_kind: str
     root_active: bool
     slot_kinds: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.tree_kind not in ("initial", "auxiliary"):
+            raise GrammarError(f"unknown tree kind {self.tree_kind!r}")
+        for kind in self.slot_kinds:
+            if kind not in ("adj", "subst"):
+                raise GrammarError(f"unknown slot kind {kind!r}")
 
 
 class GrammarError(ValueError):
@@ -123,9 +132,11 @@ class GrammarIndex:
     Every rule list keeps grammar rule order, which fixes the order in
     which derivations try their candidates.  A grammar is valid from the
     moment it is built, so every rule's (terminal, rank) is declared in
-    `ranks`.  Enumeration reads the rules without slots (`leaf_rules`),
-    one tree per terminal they use (`leaves`), and whether two rules
-    share a (left-hand side, terminal, rank) shape (`repeated_shape`).
+    `ranks`.  Enumeration reads the rules that can finish, those whose
+    slots are all productive (`by_lhs`), the rules without slots
+    (`leaf_rules`), one tree per terminal they use (`leaves`), and
+    whether two rules share a (left-hand side, terminal, rank) shape
+    (`repeated_shape`).  Checking reads every rule by shape (`by_shape`).
     """
 
     def __init__(self, grammar: FbRtg):
@@ -135,8 +146,10 @@ class GrammarIndex:
         self.by_shape: dict[tuple[Nonterminal, str, int], list[FbRule]] = {}
         self.leaf_rules: dict[Nonterminal, list[FbRule]] = {}
         self.leaves: dict[str, DerivTree] = {}
+        productive = _productive(grammar.rules)
         for rule in grammar.rules:
-            self.by_lhs.setdefault(rule.lhs, []).append(rule)
+            if all(nt in productive for nt, _ in rule.rhs):
+                self.by_lhs.setdefault(rule.lhs, []).append(rule)
             self.by_shape.setdefault((rule.lhs, rule.terminal, rule.rank), []).append(rule)
             if not rule.rhs:
                 self.leaf_rules.setdefault(rule.lhs, []).append(rule)
@@ -599,7 +612,7 @@ def _eliminate_forced_slots(rules: list[FbRule], sites: dict[str, SiteInfo]) -> 
         rules = rewritten
 
 
-def _productive(rules: list[FbRule]) -> set[Nonterminal]:
+def _productive(rules: Sequence[FbRule]) -> set[Nonterminal]:
     """Worklist fixpoint: a rule fires once all its distinct slot
     nonterminals are known to be productive."""
     waiting: list[int] = []

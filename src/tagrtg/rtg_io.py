@@ -46,9 +46,6 @@ from tagrtg.rtg import FORMS, FbRtg, FbRule, GrammarError, SiteInfo, Slot
 
 FORMAT_VERSION = 1
 
-_KINDS = ("initial", "auxiliary")
-_SLOT_KINDS = frozenset(("adj", "subst"))
-
 
 class RtgParseError(ValueError):
     def __init__(self, message: str, line: int):
@@ -197,13 +194,15 @@ def _parse_site(text: str, line: int) -> tuple[str, SiteInfo]:
     if open_paren == -1 or not spec.endswith(")"):
         raise RtgParseError("site entry is missing its slot kind list", line)
     words = spec[:open_paren].split()
-    if len(words) != 2 or words[0] not in _KINDS or words[1] not in ("active", "inactive"):
+    if len(words) != 2 or words[1] not in ("active", "inactive"):
         raise RtgParseError(f"bad site description {spec!r}", line)
     inner = spec[open_paren + 1 : -1].strip()
     kinds = tuple(k.strip() for k in inner.split(",")) if inner else ()
-    if not _SLOT_KINDS.issuperset(kinds):
-        raise RtgParseError(f"bad site description {spec!r}", line)
-    return name, SiteInfo(words[0], words[1] == "active", kinds)
+    try:
+        return name, SiteInfo(words[0], words[1] == "active", kinds)
+    except GrammarError:
+        # SiteInfo owns the tree and slot kinds.
+        raise RtgParseError(f"bad site description {spec!r}", line) from None
 
 
 def _content_lines(text: str) -> Iterator[tuple[Optional[str], int]]:

@@ -7,17 +7,37 @@ reduction code must reproduce, so nothing here may call it.
 The seeded random corpora and the oracles that share no code with the
 library live with the benchmark, in `perfbench/inputs.py` and
 `perfbench/oracles.py`; the tests import them from there.
+
+Every property test runs under one hypothesis profile: the same
+examples on every run, no example database and no deadline.  A test's
+own `settings` only sets how many examples it draws.  Hypothesis still
+caches the literals it finds in the library's source, whatever the
+profile says; that cache goes to a temporary directory, so a run leaves
+no `.hypothesis/` in the checkout.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tagrtg.features import parse_feature
 from tagrtg.rtg import FbRtg, FbRule, Nonterminal, SiteInfo
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
+
 
 S_S = "S_S"
 NP_S = "NP_S"

@@ -1,6 +1,40 @@
-"""Term operations the unification tests need and the library does not."""
+"""Term operations the unification tests need and the library does not,
+and the strategies that draw their terms and substitutions."""
 
-from tagrtg.features import Avm, Substitution, Var, variables
+from hypothesis import strategies as st
+
+from tagrtg.features import TOP, Atom, Avm, Substitution, Var, variables
+
+ATTRS = ["agr", "mode", "f"]
+ATOMS = ["3sg", "3pl", "ind"]
+VARS = ["x", "y", "z"]
+
+
+def term_strategy():
+    leaves = st.one_of(
+        st.builds(Atom, st.sampled_from(ATOMS)),
+        st.just(TOP),
+        st.builds(Var, st.sampled_from(VARS)),
+    )
+
+    def extend(children):
+        return st.builds(
+            Avm,
+            st.lists(
+                st.tuples(st.sampled_from(ATTRS), children),
+                max_size=3,
+                unique_by=lambda kv: kv[0],
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def subst_strategy():
+    return st.builds(
+        Substitution,
+        st.dictionaries(st.sampled_from(VARS), term_strategy(), max_size=3),
+    )
 
 
 def alpha_equal(a, b) -> bool:

@@ -35,21 +35,6 @@ GOOD_TREE = "caught(cats(the(one of(e_A))), has(e_A), fish(a(e_A)))"
 BAD_AGREEMENT = "caught(cats(the(e_A)), has(e_A), fish(a(e_A)))"
 
 
-@pytest.mark.parametrize(
-    "flags, transcript",
-    [
-        (["--reduce"], "example1.rtg"),
-        (["--features", "--reduce"], "example2.rtg"),
-        (["--lc", "--reduce"], "lc_plain.rtg"),
-        (["--lc", "--features", "--reduce"], "lc_features.rtg"),
-    ],
-)
-def test_translate_matches_stored_transcripts(capsys, flags, transcript):
-    assert main(["translate", FIG2] + flags) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / transcript).read_text()
-
-
 PAREN_ATOMS_TAG = """\
 start: S;
 initial t { (S (NP kind=subst top=[f: b(c]) (NP kind=subst) (word "w")) }
@@ -363,9 +348,11 @@ print(sorted(
          f" {GOOD_TREE!r}]); {LOADED}", ENGINE),
         (f"from tagrtg.cli import main; main(['enumerate', {str(GOLDEN / 'example2.rtg')!r},"
          f" '--max-depth', '3']); {LOADED}", ENGINE),
+        (f"from tagrtg.cli import main; main(['invert', {str(GOLDEN / 'lc_plain.rtg')!r},"
+         f" 'e_S(one of(the(cats)))']); {LOADED}", sorted(ENGINE + ["tagrtg.leftcorner"])),
         (SAME_OBJECTS, []),
     ],
-    ids=["import", "check", "enumerate", "names"],
+    ids=["import", "check", "enumerate", "invert", "names"],
 )
 def test_a_fresh_process_loads_only_the_modules_it_runs(code, expected):
     env = dict(os.environ, PYTHONPATH=str(Path(tagrtg.__file__).parents[1]))
@@ -581,7 +568,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@settings(max_examples=600)
 @example(trees=set(range(7)), rename=(0, "after", ""), edits=XFF, flags=[])
 @given(
     trees=st.sets(st.integers(0, len(FIG2_LINES) - 2), min_size=1, max_size=3),
@@ -606,7 +593,7 @@ def test_edited_tag_files_keep_the_exit_contract(fuzz_dir, trees, rename, edits,
         _run(["stats", str(source)])
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @example(command="check", rtg="example2.rtg", edits=XFF, tree=GOOD_TREE, tree_edits=[])
 @example(command="check", rtg="example2.rtg", edits=SUPERSCRIPT_RANK, tree=GOOD_TREE,
          tree_edits=[])

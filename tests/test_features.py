@@ -2,8 +2,9 @@
 
 Expected values in the example-based tests are hand-derived and frozen.
 The exhaustive ground-pair check compares against an independent
-record-merge oracle written here; the property suites check the
-algebraic contract on generated terms.
+record-merge oracle written here; the properties check, on generated
+terms, the parts of the contract that the unification laws of
+acceptance criterion 9 leave out.
 """
 
 import copy
@@ -11,7 +12,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 from tagrtg.features import (
     IDENTITY,
@@ -36,7 +37,7 @@ from tagrtg.features import (
     unify_nodes,
     variables,
 )
-from terms import alpha_equal, is_idempotent
+from terms import alpha_equal, is_idempotent, term_strategy
 
 
 def avm(**kwargs):
@@ -307,6 +308,9 @@ def test_parse_feature_rejects(text):
 def test_format_feature_examples():
     assert format_feature(TOP) == "[]"
     assert format_feature(avm(agr=Var("x"), mode=Atom("ind"))) == "[agr: ?x, mode: ind]"
+    nested = avm(top=avm(agr=Var("x")), bot=avm(agr=Atom("3sg"), const=TOP))
+    for term in (Atom("3sg"), Var("x"), TOP, nested):
+        assert str(term) == format_feature(term)
 
 
 # ------------------------------------------------- exhaustive ground oracle
@@ -359,33 +363,8 @@ def test_ground_pairs_match_merge_oracle():
 
 
 # ------------------------------------------------------------- properties
-
-ATTRS = ["agr", "mode", "f"]
-ATOMS = ["3sg", "3pl", "ind"]
-VARS = ["x", "y", "z"]
-
-
-def term_strategy(with_vars=True):
-    leaves = [st.builds(Atom, st.sampled_from(ATOMS)), st.just(TOP)]
-    if with_vars:
-        leaves.append(st.builds(Var, st.sampled_from(VARS)))
-    def extend(children):
-        return st.builds(
-            Avm,
-            st.lists(
-                st.tuples(st.sampled_from(ATTRS), children),
-                max_size=3,
-                unique_by=lambda kv: kv[0],
-            ),
-        )
-    return st.recursive(st.one_of(leaves), extend, max_leaves=5)
-
-
-def subst_strategy():
-    return st.builds(
-        Substitution,
-        st.dictionaries(st.sampled_from(VARS), term_strategy(), max_size=3),
-    )
+# The unification laws proper (symmetry, a stable idempotent unifier,
+# composition) are asserted once, by acceptance criterion 9.
 
 
 @given(term_strategy())
@@ -395,25 +374,6 @@ def test_unify_with_self_is_identity(t):
     term, sigma = result
     assert term == t
     assert sigma.is_identity()
-
-
-@given(term_strategy(), term_strategy())
-def test_unify_symmetric_up_to_renaming(a, b):
-    left = unify(a, b)
-    right = unify(b, a)
-    assert (left is None) == (right is None)
-    if left is not None:
-        assert alpha_equal(left[0], right[0])
-
-
-@given(term_strategy(), term_strategy())
-def test_unifier_is_stable_and_idempotent(a, b):
-    result = unify(a, b)
-    if result is None:
-        return
-    term, sigma = result
-    assert apply(sigma, term) == term
-    assert is_idempotent(sigma)
 
 
 @given(term_strategy(), term_strategy())
@@ -427,23 +387,6 @@ def test_result_absorbs_both_instantiated_sides(a, b):
         assert again is not None
         assert again[0] == term
         assert again[1].is_identity()
-
-
-@given(term_strategy(), term_strategy())
-def test_residual_unification_needs_no_bindings(a, b):
-    result = unify(a, b)
-    if result is None:
-        return
-    term, sigma = result
-    again = unify(apply(sigma, a), apply(sigma, b))
-    assert again is not None
-    assert again[0] == term
-    assert again[1].is_identity()
-
-
-@given(subst_strategy(), subst_strategy(), term_strategy())
-def test_compose_law(outer, inner, t):
-    assert apply(compose(outer, inner), t) == apply(outer, apply(inner, t))
 
 
 @given(term_strategy(), term_strategy())

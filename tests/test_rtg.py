@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from inputs import random_tag, replicate_text
+from inputs import ambiguous_grammar, random_tag, replicate_text
 from oracles import tree_height
 from tagrtg.features import (
     TOP,
@@ -491,6 +491,17 @@ def test_enumeration_deduplicates_trees_of_any_depth():
     assert len(trees) == len(set(trees)) == 600
 
 
+def test_enumeration_tries_no_rule_that_cannot_finish():
+    # The axiom A_S's only rule has an A_S slot, so no derivation of the
+    # unreduced grammar finishes; without the filter, height 4 alone
+    # took over 500,000 rule attempts.
+    grammar = erase_features(to_fbrtg(random_tag(46)))
+    assert grammar.rules and reduce_grammar(grammar).rules == ()
+    stats = {}
+    assert list(enumerate_trees(grammar, 5, stats)) == []
+    assert stats["steps"] == 0
+
+
 def test_enumeration_is_deterministic(feature_grammar):
     first = [str(t) for t in enumerate_trees(feature_grammar, 4)]
     second = [str(t) for t in enumerate_trees(feature_grammar, 4)]
@@ -771,23 +782,6 @@ def test_reduce_handles_long_nonterminal_chains():
 # ---------------------------------------------------------------- index
 
 
-def _ambiguous_grammar():
-    x, y = Nonterminal("X"), Nonterminal("Y")
-    return FbRtg(
-        axiom=x,
-        nonterminals=(x, y),
-        terminals=(("a", 0), ("b", 0), ("f", 1)),
-        rules=(
-            FbRule(x, (), "f", ((x, ()),)),
-            FbRule(x, (), "f", ((y, ()),)),
-            FbRule(y, (), "f", ((x, ()),)),
-            FbRule(y, (), "f", ((y, ()),)),
-            FbRule(x, (), "a", ()),
-            FbRule(y, (), "b", ()),
-        ),
-    )
-
-
 def test_index_is_invisible_to_equality_repr_and_format(feature_grammar):
     grammar = dataclasses.replace(feature_grammar)
     before = repr(grammar)
@@ -800,7 +794,7 @@ def test_index_is_invisible_to_equality_repr_and_format(feature_grammar):
 
 
 def test_replaced_rules_get_a_fresh_index():
-    grammar = _ambiguous_grammar()
+    grammar = ambiguous_grammar()
     tree = parse_tree("f(f(a))")
     original = list(enumerate_trees(grammar, 3))
     original_trace = [str(s) for s in accepts_detailed(grammar, tree).steps]

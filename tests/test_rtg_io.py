@@ -169,6 +169,10 @@ FISH = "NP_S [top: ?t] -> fish(NP_A [top: ?t]);"
         (lambda t: t.replace("caught/3", "caught/٣"), "bad terminal declaration 'caught/٣'"),
         (lambda t: t.replace("initial inactive", "initial sideways"), "bad site"),
         (
+            lambda t: t.replace("initial inactive", "weird inactive"),
+            "bad site description 'weird inactive (subst, adj, subst)'",
+        ),
+        (
             lambda t: t.replace("(subst, adj, subst)", "(subst, ajd, subst)"),
             "bad site description 'initial inactive (subst, ajd, subst)'",
         ),
@@ -209,6 +213,14 @@ def test_parse_errors(mangle, message):
     # The error names the first line the mangling changed.
     pairs = zip_longest(text.splitlines(), FEATURE_FILE.splitlines())
     assert err.value.line == next(n for n, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
+@pytest.mark.parametrize(
+    "tree_kind, slot_kinds", [("weird", ("x",)), ("weird", ("adj",)), ("initial", ("adj", "x"))],
+)
+def test_site_entries_hold_only_the_kinds_the_reader_reads(tree_kind, slot_kinds):
+    with pytest.raises(GrammarError, match="unknown"):
+        SiteInfo(tree_kind, True, slot_kinds)
 
 
 def test_parse_validates_the_grammar():
@@ -313,7 +325,7 @@ def named_grammars(draw):
 def test_writer_refuses_exactly_the_grammars_that_would_not_read_back():
     outcomes = {"written": 0, "refused": 0}
 
-    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=1000)
     @given(named_grammars())
     def round_trip(grammar):
         try:

@@ -11,18 +11,12 @@ from tagrtg.tag import (
     Tag,
     TreeNode,
     ValidationError,
-    bundled_grammar,
     format_tag,
     load_tag,
     parse_tag,
     save_tag,
 )
 from tagrtg.translate import lc_fbrtg, to_fbrtg
-
-
-@pytest.fixture(scope="module")
-def fig2():
-    return load_tag(bundled_grammar("fig2"))
 
 
 def elem_tree(tag, name):
@@ -228,7 +222,7 @@ def tag_fields(draw):
     return draw(labels), tuple(trees)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(tag_fields())
 def test_every_valid_tag_and_its_grammars_read_back(fields):
     try:
