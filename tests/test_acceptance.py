@@ -30,6 +30,7 @@ from tagrtg.features import (
     Var,
     apply,
     compose,
+    format_feature,
     freshen,
     unify,
     variables,
@@ -508,3 +509,9 @@ def test_term_view_matches_an_independent_substitution():
         assert freshen(term, prefix) == substitute(term, renaming)
 
     agree()
+
+
+@settings(max_examples=1000)
+@given(term_strategy())
+def test_str_of_a_term_is_its_format_feature(term):
+    assert str(term) == format_feature(term)

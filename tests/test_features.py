@@ -308,9 +308,6 @@ def test_parse_feature_rejects(text):
 def test_format_feature_examples():
     assert format_feature(TOP) == "[]"
     assert format_feature(avm(agr=Var("x"), mode=Atom("ind"))) == "[agr: ?x, mode: ind]"
-    nested = avm(top=avm(agr=Var("x")), bot=avm(agr=Atom("3sg"), const=TOP))
-    for term in (Atom("3sg"), Var("x"), TOP, nested):
-        assert str(term) == format_feature(term)
 
 
 # ------------------------------------------------- exhaustive ground oracle
