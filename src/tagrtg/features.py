@@ -9,7 +9,9 @@ Unification runs on mutable feature nodes (Huet's union-find over
 feature graphs): a node is a variable or an AVM whose arcs live in a
 dict, and atoms stay `Atom`.  Unifying two nodes forwards one to the
 other's representative, so every path that shares a node sees what
-later unifications add to it; the occurs check then walks the result.
+later unifications add to it; the occurs check then walks the result,
+unless `compile_fire` showed, when it compiled the rule, that the join
+cannot close a cycle.
 Each forwarding and added arc goes on a trail that `undo` pops back to
 a mark, so a search backtracks without copying.  `compile_fire` turns a
 rule into one function, compiled once per rule shape, that builds its
@@ -168,17 +170,23 @@ def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
     `instantiate` makes them, variable v named prefix.v, then unification
     of the left-hand conjuncts, of the left-hand node with the leaf's
     (None is top), and of each slot's conjuncts, all left to right.  It
-    returns the slot nodes (None for top), or None on a clash.  The source
-    is flat, one assignment per AVM node in postorder, so any depth
-    compiles; keys and names enter through `repr`, atoms as arguments of
-    a factory compiled once per source, which rules that differ only in
-    atoms share; `Node` and `unify_nodes` are this module's globals."""
+    returns the slot nodes (None for top), or None on a clash.  A join
+    calls `_merge` when the side it adds, a conjunct or, against the
+    leaf, the left-hand side, holds only first occurrences of variables
+    in this walk order, and `unify_nodes` otherwise: such a side is a
+    tree of fresh nodes that shares none with the acyclic graph it meets,
+    so no cycle can form (occurs-check reduction, Søndergaard 1986).  The
+    source is flat, one assignment per AVM node in postorder, so any
+    depth compiles; keys and names enter through `repr`, atoms as
+    arguments of a factory compiled once per source, which rules that
+    differ only in atoms share; `Node`, `unify_nodes` and `_merge` are
+    this module's globals, so wrappers set on both see every join."""
     lines, names, atoms, joins, roots = [], {}, {}, [], []
     for conjuncts in positions:
-        refs = []
+        refs, kernels = [], []
         for conjunct in conjuncts:
             # Postorder; `done` holds finished refs until their AVM takes them.
-            stack, done = [(conjunct, False)], []
+            stack, done, kernel = [(conjunct, False)], [], "_merge"
             while stack:
                 term, ready = stack.pop()
                 if type(term) is Atom:
@@ -188,6 +196,8 @@ def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
                     if ref is None:
                         ref = names[term.name] = f"v{len(names)}"
                         lines.append(f"{ref} = Node(None, prefix + {'.' + term.name!r})")
+                    else:  # a variable met before: joining this conjunct may close a cycle
+                        kernel = "unify_nodes"
                 elif not ready:
                     stack.append((term, True))
                     stack.extend((value, False) for _, value in reversed(term.entries))
@@ -201,9 +211,12 @@ def compile_fire(positions: Iterable[Iterable[FeatureTerm]]):
                     lines.append(f"{ref} = Node({{{arcs}}})")
                 done.append(ref)
             refs.append(done[0])
-        joins += (f"if not unify_nodes({refs[0]}, {ref}, trail): return None" for ref in refs[1:])
+            kernels.append(kernel)
+        joins += (f"if not {kernel}({refs[0]}, {ref}, trail): return None"
+                  for ref, kernel in zip(refs[1:], kernels[1:]))
         if refs and not roots:  # the left-hand node meets the leaf's
-            joins.append(f"if leaf is not None and not unify_nodes({refs[0]}, leaf, trail):"
+            kernel = "unify_nodes" if "unify_nodes" in kernels else "_merge"
+            joins.append(f"if leaf is not None and not {kernel}({refs[0]}, leaf, trail):"
                          " return None")
         roots.append(refs[0] if refs else "None")
     lines += joins + [f"return ({''.join(root + ', ' for root in roots[1:])})"]
@@ -225,27 +238,25 @@ def unify_nodes(a, b, trail: list) -> bool:
     An empty AVM forwards to the other side, so a variable is never
     bound to top; a variable forwards to the other side; of two AVMs, b
     forwards to a, which gains b's missing arcs.  Fails on an atom clash
-    and, as the occurs check, when the result is cyclic.  A failed call
-    leaves partial changes on the trail for the caller to undo.
+    and, as the occurs check, when the result is cyclic; `_merge` is the
+    same without that check, for joins that `compile_fire` shows cannot
+    close a cycle.  A failed call leaves partial changes on the trail for
+    the caller to undo.
     """
     return _merge(a, b, trail) and _acyclic(a, {})
 
 
-def _rank(x):
-    """0 for top, 1 for a variable, 2 for an atom or an AVM with arcs."""
-    if type(x) is not Node:
-        return 2
-    arcs = x.arcs
-    return 1 if arcs is None else 2 if arcs else 0
-
-
 def _merge(a, b, trail) -> bool:
     """Merge two nodes without the occurs check; False on a clash."""
-    a = _deref(a)
-    b = _deref(b)
+    while type(a) is Node and a.ref is not None:
+        a = a.ref
+    while type(b) is Node and b.ref is not None:
+        b = b.ref
     if a is b:
         return True
-    rank_a, rank_b = _rank(a), _rank(b)
+    # Rank 0 for top, 1 for a variable, 2 for an atom or an AVM with arcs.
+    rank_a = 2 if type(a) is not Node else 1 if a.arcs is None else 2 if a.arcs else 0
+    rank_b = 2 if type(b) is not Node else 1 if b.arcs is None else 2 if b.arcs else 0
     if rank_a < 2 or rank_b < 2:
         # The lower rank forwards, a on a tie, so top never binds a variable.
         if rank_b < rank_a:

@@ -24,6 +24,7 @@ from tagrtg.features import (
     Substitution,
     Var,
     _factory,
+    _merge,
     bindings,
     fold,
     format_feature,
@@ -173,31 +174,53 @@ def test_compiled_fire_matches_instantiating_each_conjunct():
             except GrammarError:
                 continue
             corpus += grammar.rules + reduce_grammar(grammar).rules
-    rules = shared = fired = clashed = 0
+    rules = shared = fired = clashed = cycles = 0
     for rule in corpus:
-        # Leaves: top, a ground instance of the left-hand side, and one
-        # that clashes with it.
+        # Leaves: top, a ground instance of the left-hand side, one that
+        # clashes with it, and one whose variables all become one node n,
+        # [x: ?n] after the first occurrence of each, so that a firing can
+        # close a cycle through the leaf.
         lhs = fold(rule.lhs_feat, {}, [])
         lhs = TOP if lhs is None or lhs is False else read_back(lhs)
         ground = _map_leaves(lhs, lambda v: Atom(v.name), lambda a: a)
         clash = _map_leaves(lhs, lambda v: Atom(v.name), lambda a: Atom(a.name + "!"))
         if clash == ground:
             clash = Atom("!")
-        for leaf in (None, ground, clash):
+        met = set()
+
+        def loop(var):
+            if var in met:
+                return Avm((("x", Var("n")),))
+            met.add(var)
+            return Var("n")
+
+        looped = _map_leaves(lhs, loop, lambda a: a)
+        verdicts = []
+        for leaf in (None, ground, clash, looped):
             runs = []
             for fire in (rule.fire, lambda *args: _reference_fire(rule, *args)):
                 node = None if leaf is None else instantiate(leaf, None, {})
                 trail = []
-                slots = fire(node, "1.2", trail)
-                read = None if slots is None else [format_feature(read_back(s)) for s in slots]
-                runs.append((read, str(bindings(trail)), (node, *(slots or ()), *trail)))
-            (got, got_env, roots), (expected, expected_env, _) = runs
-            assert got == expected and got_env == expected_env
+                runs.append((fire(node, "1.2", trail), node, trail))
+            # Verdicts first: reading a cyclic result back never ends.
+            (slots, node, trail), (expected, _, expected_trail) = runs
+            assert (slots is None) == (expected is None), (str(rule), leaf)
+            got, expected = (
+                None if nodes is None else [format_feature(read_back(s)) for s in nodes]
+                for nodes in (slots, expected)
+            )
+            assert got == expected
+            if got is not None or leaf is not looped:  # a clash may leave a cycle behind
+                assert str(bindings(trail)) == str(bindings(expected_trail))
+            roots = (node, *(slots or ()), *trail)
             fired += got is not None and leaf is not None
             clashed += got is None
+            verdicts.append(got is not None)
             # One node per variable, across every position of the rule.
             for name, nodes in _variable_nodes(roots).items():
                 assert len(nodes) == 1 or not name.startswith("1.2."), name
+        # Where the ground leaf fires, the looped one clashes only on a cycle.
+        cycles += verdicts[1] and not verdicts[3]
         # Each call builds fresh nodes; only atoms are shared.
         first, again = rule.fire(None, "1.2", []), rule.fire(None, "1.2", [])
         if first is not None:
@@ -212,7 +235,7 @@ def test_compiled_fire_matches_instantiating_each_conjunct():
         shared += len(occurrences) - len(set(occurrences))
         rules += 1
     assert rules > 5000 and shared > 6000
-    assert fired > 5000 and clashed > 5000
+    assert fired > 5000 and clashed > 5000 and cycles > 1000
 
 
 def _occurrences(term):
@@ -231,6 +254,24 @@ def test_derive_step_fails_on_clash():
     assert derive_step(rule, _node("[bot: [const: +]]"), "1", []) is None
 
 
+@pytest.mark.parametrize(
+    "lhs, slot, leaf",
+    [
+        # A variable twice on the left-hand side, a node twice in the leaf.
+        (["[f: ?v, g: [h: ?v]]"], [], "[f: ?n, g: ?n]"),
+        # The leaf's unification reached the slot's variables.
+        (["[t: ?t, u: ?u]"], ["?t", "[g: ?u]"], "[t: ?n, u: [g: ?n]]"),
+        # Two left-hand conjuncts share a variable.
+        (["[f: ?x]", "?x"], [], None),
+    ],
+    ids=["lhs-against-leaf", "slot-after-leaf", "lhs-conjuncts"],
+)
+def test_fire_rejects_a_cycle_through_any_join(lhs, slot, leaf):
+    slots = (("Y", tuple(map(parse_feature, slot))),) if slot else ()
+    rule = FbRule("X", tuple(map(parse_feature, lhs)), "f", slots)
+    assert rule.fire(None if leaf is None else _node(leaf), "", []) is None
+
+
 def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
     bound = FbRule("NP_A", (parse_feature("[top: 3sg]"),), "e_A", ())
     free = FbRule("NP_S", (), "cats", (("NP_A", ()),))
@@ -239,12 +280,60 @@ def test_derive_step_without_constraints_skips_the_kernel(monkeypatch):
     assert derive_step(bound, leaf, "1", trail) == ()
     mark = len(trail)
     monkeypatch.setattr("tagrtg.features.unify_nodes", _unexpected)
+    monkeypatch.setattr("tagrtg.features._merge", _unexpected)
     assert derive_step(free, leaf, "1.1", trail) == (None,)
     assert len(trail) == mark > 0
     # One top slot node per slot, and nothing on an empty trail.
     trail = []
     assert derive_step(FbRule("S_S", (), "f", (("A", ()),) * 3), leaf, "", trail) == (None,) * 3
     assert trail == []
+
+
+def test_a_tracer_sees_every_firing_and_join(monkeypatch):
+    """A tracer wraps `rtg.derive_step`, `features.unify_nodes` and
+    `features._merge`: the engine fires every rule through the first, and
+    `fire` makes every join through one of the other two, all of them
+    when it fires and up to the one that clashed when it does not."""
+    grammar = reduce_grammar(to_fbrtg(load_tag(bundled_grammar("fig2"))))
+    depth, tops, fires, firings = [0], {"unify_nodes": 0, "_merge": 0}, [0], []
+
+    def kernel(name, function):
+        def counted(*args):
+            tops[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return function(*args)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    def counted_fire(fire):
+        def counted(*args):
+            fires[0] += 1
+            return fire(*args)
+        return counted
+
+    def step(rule, leaf, prefix, trail):
+        before = sum(tops.values())
+        slots = derive_step(rule, leaf, prefix, trail)
+        firings.append((rule, leaf is not None, slots is not None, sum(tops.values()) - before))
+        return slots
+
+    for rule in grammar.rules:  # shadows the cached compile on this grammar's own rules
+        object.__setattr__(rule, "fire", counted_fire(rule.fire))
+    monkeypatch.setattr("tagrtg.features.unify_nodes", kernel("unify_nodes", unify_nodes))
+    monkeypatch.setattr("tagrtg.features._merge", kernel("_merge", _merge))
+    monkeypatch.setattr("tagrtg.rtg.derive_step", step)
+    result = accepts_detailed(grammar, GOOD)
+    assert result.accepted and len(result.steps) == 10
+    checked, stats = len(firings), {}
+    assert len(list(enumerate_trees(grammar, 5, stats))) == 63
+    assert len(firings) - checked == stats["steps"] and fires[0] == len(firings)
+    for rule, has_leaf, fired, joins in firings:
+        positions = (rule.lhs_feat, *(feat for _, feat in rule.rhs))
+        made = sum(len(feat) - 1 for feat in positions if feat) + (has_leaf and bool(rule.lhs_feat))
+        assert joins == made if fired else 0 < joins <= made
+    assert tops["unify_nodes"] > 0 and tops["_merge"] > 0
 
 
 def test_rules_of_one_shape_share_one_compile():
