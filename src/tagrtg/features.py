@@ -407,6 +407,33 @@ class FeatureSyntaxError(ValueError):
 _STRUCTURAL = set("[]:,?")
 
 
+def unreadable_name(terms: Iterable[FeatureTerm]) -> Optional[str]:
+    """An atom, variable or attribute name in `terms` that `parse_feature`
+    would not read back as itself, such as "atom 'a b'", or None: one
+    that is empty, or holds whitespace or one of ``[]:,?``.  One walk
+    collects the distinct names of each kind; each is tested once."""
+    atoms: dict[str, None] = {}
+    names: dict[str, None] = {}
+    keys: dict[str, None] = {}
+    stack = list(terms)
+    while stack:
+        term = stack.pop()
+        cls = type(term)
+        if cls is Avm:
+            for key, value in term.entries:
+                keys[key] = None
+                stack.append(value)
+        elif cls is Atom:
+            atoms[term.name] = None
+        else:
+            names[term.name] = None
+    for kind, found in (("atom", atoms), ("variable", names), ("attribute", keys)):
+        for name in found:
+            if not name or any(ch.isspace() or ch in _STRUCTURAL for ch in name):
+                return f"{kind} {name!r}"
+    return None
+
+
 def parse_feature(text: str) -> FeatureTerm:
     """Parse the textual syntax: atoms bare, variables ?-prefixed, AVMs bracketed."""
     term, pos = parse_feature_at(text, 0)

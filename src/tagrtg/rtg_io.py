@@ -32,7 +32,9 @@ as itself: an empty nonterminal; a name with a comma, a line break or
 whitespace at either end; a nonterminal of a rule that is not one name token as above, or a
 left-hand side starting with ``#``; a terminal of a rule that is empty
 or holds ``(``; a terminal with a site entry that holds ``=`` or starts
-with ``#``.
+with ``#``; an atom, variable or attribute of a constraint that
+`parse_feature` would not read back, or a bare atom conjunct that starts
+with ``->`` on a left-hand side or with ``)`` in a slot.
 """
 
 from __future__ import annotations
@@ -41,7 +43,13 @@ import re
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from tagrtg.features import FeatureSyntaxError, format_feature, parse_feature_at
+from tagrtg.features import (
+    Atom,
+    FeatureSyntaxError,
+    format_feature,
+    parse_feature_at,
+    unreadable_name,
+)
 from tagrtg.rtg import FORMS, FbRtg, FbRule, GrammarError, SiteInfo, Slot
 
 FORMAT_VERSION = 1
@@ -63,10 +71,10 @@ def _declared(name: str) -> bool:
 
 
 def _unreadable_name(grammar: FbRtg) -> Optional[str]:
-    """The first nonterminal or terminal that would not read back as
-    itself, or None.  The grammar is valid, so every name of a rule is
-    declared: the rules are searched only when a declared name could
-    not stand in one."""
+    """The first nonterminal, terminal or constraint name that would not
+    read back as itself, or None.  The grammar is valid, so every name of
+    a rule is declared: the rules are searched for a nonterminal or a
+    terminal only when a declared name could not stand in one."""
     for nt in grammar.nonterminals:
         if not nt or not _declared(nt):
             return f"nonterminal {nt!r}"
@@ -90,6 +98,15 @@ def _unreadable_name(grammar: FbRtg) -> Optional[str]:
     for name, _ in grammar.sites:
         if "=" in name or name.startswith("#"):
             return f"terminal {name!r}"
+    lhs_conjuncts = [term for rule in grammar.rules for term in rule.lhs_feat]
+    slot_conjuncts = [term for rule in grammar.rules for _, feat in rule.rhs for term in feat]
+    if bad := unreadable_name(lhs_conjuncts + slot_conjuncts):
+        return bad
+    # A bare atom that starts with the end of its slot would end it there.
+    for conjuncts, end in ((lhs_conjuncts, "->"), (slot_conjuncts, ")")):
+        for term in conjuncts:
+            if type(term) is Atom and term.name.startswith(end):
+                return f"atom {term.name!r}"
     return None
 
 

@@ -22,6 +22,7 @@ from tagrtg.features import (
     format_feature,
     is_top,
     parse_feature_at,
+    unreadable_name,
 )
 from tagrtg.trees import ValueTree
 
@@ -317,6 +318,12 @@ def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
 
 
 def format_tag(tag: Tag) -> str:
+    """The grammar as `.tag` text; a `ValidationError` if a feature holds
+    a name that `parse_tag` would not read back as itself."""
+    features = [term for tree in tag.trees for node in tree.root.nodes()
+                for term in (node.top, node.bot)]
+    if bad := unreadable_name(features):
+        raise ValidationError(f"{bad} would not read back from a .tag file")
     lines = [f"start: {tag.start};"]
     for tree in tag.trees:
         keyword = "auxiliary" if tree.auxiliary else "initial"

@@ -4,12 +4,13 @@ One test per shipped guarantee: golden transcripts for the four
 translation pipelines, membership checking with its agreement replay,
 the rejection suite, the inverse roundtrip, a randomized enumeration
 oracle, size bounds and linear translation work, the unification laws
-(their one home in the suite), and a randomized differential between
-the standard and left-corner forms.
+of two terms and of substitutions (their one home in the suite), and a
+randomized differential between the standard and left-corner forms.
 Each test enforces its own runtime or tolerance budget, so `pytest -v`
 yields one pass/fail line per criterion.
 """
 
+import copy
 import gc
 import sys
 import time
@@ -30,7 +31,6 @@ from tagrtg.features import (
     Var,
     apply,
     compose,
-    format_feature,
     freshen,
     unify,
     variables,
@@ -44,7 +44,7 @@ from tagrtg.rtg import (
     erase_features,
     reduce_grammar,
 )
-from tagrtg.rtg_io import parse_rtg
+from tagrtg.rtg_io import format_rtg, parse_rtg
 from tagrtg.tag import bundled_grammar, parse_tag
 from tagrtg.translate import lc_fbrtg, to_fbrtg
 from tagrtg.trees import DerivTree, parse_tree
@@ -303,21 +303,33 @@ def test_standard_and_left_corner_forms_have_equal_tree_counts_at_every_size(fig
     assert time.perf_counter() - start < 10.0
 
 
-def _python_calls(tag):
-    """The Python function calls `to_fbrtg(tag)` makes: a count of work
-    that, unlike a wall time, is the same on every run."""
+def _python_calls(fn, arg):
+    """The Python function calls `fn(arg)` makes, a count of work that,
+    unlike a wall time, is the same on every run; and what it returns."""
     calls = 0
 
-    def count(frame, event, arg):
+    def count(frame, event, _):
         nonlocal calls
         calls += event == "call"
 
     sys.setprofile(count)
     try:
-        to_fbrtg(tag)
+        out = fn(arg)
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, out
+
+
+def _linear_layer(fn, inputs):
+    """`fn` of fig2 x1, x10 and x100, once its calls are shown linear:
+    each of the 90 copies added from x10 to x100 costs exactly what each
+    of the 9 added from x1 to x10 does.  A first call on a copy fills
+    what later calls in the process share, such as the compiled source
+    of a rule's `fire`, and leaves the counted inputs as they were."""
+    fn(copy.deepcopy(inputs[0]))
+    (one, small), (ten, medium), (hundred, large) = (_python_calls(fn, x) for x in inputs)
+    assert hundred - ten == 10 * (ten - one), (fn.__name__, one, ten, hundred)
+    return small, medium, large
 
 
 def _best_times(tags, rounds):
@@ -345,12 +357,14 @@ def test_criterion_8_size_bound_and_linear_time(fig2):
     assert len(erase_features(to_fbrtg(fig2)).rules) == 13
     assert len(erase_features(lc_fbrtg(fig2)).rules) == 23 <= 2 * 13
 
+    # Each compile layer does linear work; each feeds the next.
     text = bundled_grammar("fig2").read_text()
-    tags = [parse_tag(replicate_text(text, factor)) for factor in (1, 10, 100)]
-    # Linear work: each of the 90 copies added from x10 to x100 costs
-    # exactly what each of the 9 added from x1 to x10 does.
-    one, ten, hundred = map(_python_calls, tags)
-    assert hundred - ten == 10 * (ten - one), (one, ten, hundred)
+    texts = [replicate_text(text, factor) for factor in (1, 10, 100)]
+    tags = _linear_layer(parse_tag, texts)
+    lcs = _linear_layer(lc_fbrtg, tags)
+    _linear_layer(reduce_grammar, [erase_features(lc) for lc in lcs])
+    reduced = _linear_layer(reduce_grammar, _linear_layer(to_fbrtg, tags))
+    _linear_layer(parse_rtg, _linear_layer(format_rtg, reduced))
     # Calls cannot see superlinear work inside C code, so keep a wide
     # wall-time guard, which a quadratic step (100x from x10 to x100) fails.
     at_ten, at_hundred = _best_times(tags[1:], 5)
@@ -358,8 +372,9 @@ def test_criterion_8_size_bound_and_linear_time(fig2):
 
 
 # ------------------------------------------------------------ unification
-# The suite's one copy of the unification laws.  They draw from
-# `terms.term_strategy` and `terms.subst_strategy`, except
+# The suite's one copy of the laws of two terms and of substitutions;
+# the laws of one term are `test_features.test_laws_of_one_term`.  They
+# draw from `terms.term_strategy` and `terms.subst_strategy`, except
 # `mgu_is_most_general`: its ground oracle tries every assignment of
 # GROUND_IMAGES, built from the atoms and attributes of `small_terms`.
 
@@ -422,20 +437,42 @@ def _at(term, path):
 
 
 def test_criterion_9_unification_property_suite():
+    """Three families, each drawing its arguments once per example and
+    asserting every law of that signature on them."""
     budget = settings(max_examples=1000)
 
     @budget
-    @given(term_strategy(), term_strategy())
-    def mgu_is_a_stable_idempotent_unifier(a, b):
+    @given(term_strategy(), term_strategy(), term_strategy())
+    @example(
+        Avm((("f", Var("x")), ("g", Var("x")))),
+        Avm((("f", Avm((("f", Atom("a")),))), ("g", Avm((("g", Atom("b")),))))),
+        TOP,
+    )
+    def laws_of_a_unified_pair(a, b, probe):
         result = unify(a, b)
+        # Symmetric, and blind to freshening, up to renaming.
+        for other in (unify(b, a), unify(freshen(a, "1"), freshen(b, "1"))):
+            assert (result is None) == (other is None)
+            if result is not None:
+                assert alpha_equal(result[0], other[0])
         if result is None:
             return
         term, sigma = result
+        # A stable idempotent unifier: once applied, it has nothing left
+        # to bind, in the two sides, in their result or in any term.
         assert is_idempotent(sigma)
         assert apply(sigma, term) == term
-        again = unify(apply(sigma, a), apply(sigma, b))
-        assert again is not None
-        assert again[0] == term and again[1].is_identity()
+        once = apply(sigma, probe)
+        assert apply(sigma, once) == once
+        a_inst, b_inst = apply(sigma, a), apply(sigma, b)
+        for pair in ((a_inst, b_inst), (term, a_inst), (term, b_inst)):
+            again = unify(*pair)
+            assert again is not None
+            assert again[0] == term and again[1].is_identity()
+        # Each variable denotes the unified term at its paths.
+        for side in (a, b):
+            for path, name in _variable_paths(side):
+                assert apply(sigma, Var(name)) == _at(term, path), (name, path)
 
     @budget
     @given(small_terms(), small_terms())
@@ -450,68 +487,15 @@ def test_criterion_9_unification_property_suite():
                     assert apply(theta, Var(name)) == apply(theta, apply(sigma, Var(name)))
 
     @budget
-    @given(term_strategy(), term_strategy())
-    @example(
-        Avm((("f", Var("x")), ("g", Var("x")))),
-        Avm((("f", Avm((("f", Atom("a")),))), ("g", Avm((("g", Atom("b")),))))),
-    )
-    def variables_denote_the_unified_term_at_their_paths(a, b):
-        result = unify(a, b)
-        if result is None:
-            return
-        term, sigma = result
-        for side in (a, b):
-            for path, name in _variable_paths(side):
-                assert apply(sigma, Var(name)) == _at(term, path), (name, path)
-
-    @budget
-    @given(term_strategy(), term_strategy())
-    def unification_is_symmetric_up_to_renaming(a, b):
-        left = unify(a, b)
-        right = unify(b, a)
-        assert (left is None) == (right is None)
-        if left is not None:
-            assert alpha_equal(left[0], right[0])
-
-    @budget
-    @given(term_strategy(), term_strategy(), term_strategy())
-    def unifier_substitutions_are_idempotent(a, b, probe):
-        result = unify(a, b)
-        if result is None:
-            return
-        _, sigma = result
-        assert is_idempotent(sigma)
-        once = apply(sigma, probe)
-        assert apply(sigma, once) == once
-
-    @budget
-    @given(subst_strategy(), subst_strategy(), term_strategy())
-    def composition_agrees_with_sequential_application(outer, inner, term):
+    @given(subst_strategy(), subst_strategy(), term_strategy(), st.sampled_from(["1", "2.1"]))
+    def laws_of_substitutions(outer, inner, term, prefix):
+        # `apply` and `freshen` run on the node kernel; `substitute`
+        # walks the terms themselves.
         assert apply(compose(outer, inner), term) == apply(outer, apply(inner, term))
-
-    mgu_is_a_stable_idempotent_unifier()
-    mgu_is_most_general()
-    variables_denote_the_unified_term_at_their_paths()
-    unification_is_symmetric_up_to_renaming()
-    unifier_substitutions_are_idempotent()
-    composition_agrees_with_sequential_application()
-
-
-def test_term_view_matches_an_independent_substitution():
-    """`apply` and `freshen` run on the node kernel; `substitute` walks
-    the terms themselves."""
-
-    @settings(max_examples=1000)
-    @given(subst_strategy(), term_strategy(), st.sampled_from(["1", "2.1"]))
-    def agree(sigma, term, prefix):
-        assert apply(sigma, term) == substitute(term, sigma.bindings)
+        assert apply(inner, term) == substitute(term, inner.bindings)
         renaming = {name: Var(f"{prefix}.{name}") for name in variables(term)}
         assert freshen(term, prefix) == substitute(term, renaming)
 
-    agree()
-
-
-@settings(max_examples=1000)
-@given(term_strategy())
-def test_str_of_a_term_is_its_format_feature(term):
-    assert str(term) == format_feature(term)
+    laws_of_a_unified_pair()
+    mgu_is_most_general()
+    laws_of_substitutions()

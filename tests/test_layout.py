@@ -1,11 +1,13 @@
 """The package's module layout: who may import what from whom."""
 
 import ast
+import importlib
 from pathlib import Path
 from types import ModuleType
 
 import tagrtg.leftcorner
 import tagrtg.translate
+from tracing import TRACED
 
 SOURCES = sorted(Path(tagrtg.translate.__file__).parent.glob("*.py"))
 
@@ -36,3 +38,14 @@ def test_all_lists_the_public_names_the_package_binds():
     }
     assert sorted(tagrtg.__all__) == sorted(public | {"__version__"})
     assert all(hasattr(tagrtg, name) for name in tagrtg.__all__)
+
+
+def test_every_function_the_benchmark_traces_resolves():
+    # The tracer looks each function up by name when it installs, so a
+    # deleted or renamed one would otherwise fail only a traced run.
+    missing = [
+        f"{home}.{name}"
+        for name, (home, _, _) in TRACED.items()
+        if not callable(getattr(importlib.import_module(home), name, None))
+    ]
+    assert TRACED and missing == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagrtg import rtg_io
-from tagrtg.features import parse_feature
+from tagrtg.features import Atom, Avm, Var, parse_feature
 from tagrtg.rtg import (
     FbRtg,
     FbRule,
@@ -269,10 +269,11 @@ def test_lc_form_is_preserved(feature_grammar):
 
 
 
-def _one_rule(nt="S", terminal="a", rank=0, site=False):
-    """S -> a(S, ...) with `rank` slots, and a site entry for a if `site`."""
+def _one_rule(nt="S", terminal="a", rank=0, site=False, lhs=(), slot=()):
+    """S lhs -> a(S slot, ...) with `rank` slots, and a site entry for a
+    if `site`; `lhs` and `slot` are constraints."""
     sites = ((terminal, SiteInfo("initial", True, ("adj",) * rank)),) if site else ()
-    rule = FbRule(nt, (), terminal, ((nt, ()),) * rank)
+    rule = FbRule(nt, lhs, terminal, ((nt, slot),) * rank)
     return FbRtg(nt, (nt,), ((terminal, rank),), (rule,), sites=sites)
 
 
@@ -287,6 +288,17 @@ def _one_rule(nt="S", terminal="a", rank=0, site=False):
         (_one_rule(terminal=" a"), "terminal ' a'"),
         (_one_rule(terminal="a/b", site=True), None),
         (_one_rule(terminal="a b", rank=2), None),
+        # These read back as a syntax error, a variable, an end of the
+        # slot list or of the constraint, another rule, and no name.
+        (_one_rule(lhs=(Atom("a b"),)), "atom 'a b'"),
+        (_one_rule(lhs=(Avm((("a b", Atom("x")),)),)), "attribute 'a b'"),
+        (_one_rule(lhs=(Atom("?x"),)), "atom '?x'"),
+        (_one_rule(rank=1, slot=(Atom(")a"),)), "atom ')a'"),
+        (_one_rule(rank=1, slot=(Atom("b"), Atom(")a"))), "atom ')a'"),
+        (_one_rule(lhs=(Atom("->a"),)), "atom '->a'"),
+        (_one_rule(lhs=(Atom(""),)), "atom ''"),
+        # Elsewhere in an atom, '->', '&' and ')' read back.
+        (_one_rule(rank=1, lhs=(Atom("a->"), Atom("&")), slot=(Atom("a)"),)), None),
     ],
 )
 def test_writer_refuses_names_that_would_not_read_back(tmp_path, grammar, refused):
@@ -305,6 +317,19 @@ def test_writer_refuses_names_that_would_not_read_back(tmp_path, grammar, refuse
 NAMES = st.one_of(
     st.text("abST", min_size=1, max_size=3), st.text("ab \n\x1c#,=()->;/", max_size=3)
 )
+# Names in constraints are half plain words and half names that do not
+# read back or that hold what ends a conjunct or a slot; half the
+# constraints are empty.
+FEATURE_NAMES = st.one_of(
+    st.text("ab", min_size=1, max_size=2),
+    st.sampled_from(["", ")", "->", "a)", "(", "&", "-", ">", " ", "a b", "[", "]", ":", ",", "?"]),
+)
+CONJUNCTS = st.one_of(
+    st.builds(Atom, FEATURE_NAMES),
+    st.builds(Var, FEATURE_NAMES),
+    st.builds(lambda key, name: Avm(((key, Atom(name)),)), FEATURE_NAMES, FEATURE_NAMES),
+)
+CONSTRAINTS = st.one_of(st.just(()), st.lists(CONJUNCTS, min_size=1, max_size=2).map(tuple))
 
 
 @st.composite
@@ -313,8 +338,8 @@ def named_grammars(draw):
     terminals = draw(st.lists(st.tuples(NAMES, st.integers(0, 2)), min_size=1, max_size=3,
                               unique_by=lambda t: t[0]))
     rules = tuple(
-        FbRule(draw(st.sampled_from(nts)), (), name,
-               tuple((draw(st.sampled_from(nts)), ()) for _ in range(rank)))
+        FbRule(draw(st.sampled_from(nts)), draw(CONSTRAINTS), name,
+               tuple((draw(st.sampled_from(nts)), draw(CONSTRAINTS)) for _ in range(rank)))
         for name, rank in terminals if draw(st.booleans())
     )
     sites = tuple((name, SiteInfo("auxiliary", False, ("subst",) * rank))

@@ -118,6 +118,16 @@ def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
     assert load_tag(path) == tag
 
 
+def test_writer_refuses_feature_names_that_would_not_read_back(tmp_path):
+    site = TreeNode("NP", NodeKind.SUBSTITUTION, top=Atom("a b"))
+    tag = Tag("S", (ElemTree("t", False, TreeNode("S", children=(site,))),))
+    path = tmp_path / "out.tag"
+    with pytest.raises(ValidationError) as err:
+        save_tag(tag, path)
+    assert str(err.value) == "atom 'a b' would not read back from a .tag file"
+    assert not path.exists()  # formatted before the file is opened
+
+
 def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
     # A 5,000-deep chain ending in a bare atom, which keeps its space
     # before the ')'.
