@@ -93,7 +93,7 @@ def _inert_feature_notes(tag) -> list[str]:
 
     notes = []
     for tree in tag.trees:
-        for node in tree.root.nodes():
+        for node in tree.walk.nodes:
             if node.kind is not NodeKind.INTERNAL:
                 continue
             inert = [

@@ -9,10 +9,11 @@ names, so names double as ranked terminal symbols later on.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tagrtg.features import (
     TOP,
@@ -23,6 +24,7 @@ from tagrtg.features import (
     is_top,
     parse_feature_at,
     unreadable_name,
+    variables,
 )
 from tagrtg.trees import ValueTree
 
@@ -36,6 +38,11 @@ class NodeKind(enum.Enum):
 
 
 ACTIVE_KINDS = (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION)
+# The members as globals, for the loops that run once per node: reading
+# a member off the Enum class takes about ten times as long (Python 3.11).
+_ADJUNCTION, _SUBSTITUTION, _FOOT, _ANCHOR, _INTERNAL = (
+    NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION, NodeKind.FOOT, NodeKind.ANCHOR, NodeKind.INTERNAL
+)
 
 
 class TreeNode(ValueTree):
@@ -43,8 +50,11 @@ class TreeNode(ValueTree):
 
     def __init__(self, label: str, kind: NodeKind = NodeKind.INTERNAL, top: FeatureTerm = TOP,
                  bot: FeatureTerm = TOP, children: tuple[TreeNode, ...] = ()):
-        for slot, value in zip(_SLOTS, (label, kind, top, bot, children)):
-            slot.__set__(self, value)
+        _set_label(self, label)
+        _set_kind(self, kind)
+        _set_top(self, top)
+        _set_bot(self, bot)
+        _set_children(self, children)
 
     def _head(self) -> tuple:
         return self.label, self.kind, self.top, self.bot
@@ -57,28 +67,47 @@ class TreeNode(ValueTree):
         return _format_node(self)
 
 
-_SLOTS = tuple(getattr(TreeNode, name) for name in TreeNode.__slots__)
+_set_label, _set_kind, _set_top, _set_bot, _set_children = (
+    getattr(TreeNode, name).__set__ for name in TreeNode.__slots__
+)
+
+
+class TreeWalk(NamedTuple):
+    """What one preorder walk of an elementary tree finds."""
+
+    nodes: tuple[TreeNode, ...]  # root first
+    sites: tuple[TreeNode, ...]  # the active nodes; an active root comes first
+    foot: Optional[TreeNode]  # the foot node of an auxiliary tree, or None
+    variables: frozenset[str]  # the variables of every top and bottom
 
 
 @dataclass(frozen=True)
 class ElemTree:
+    """An elementary tree.  Validation, the translation and the writers
+    read its nodes from `walk`, the one preorder walk of the tree."""
+
     name: str
     auxiliary: bool
     root: TreeNode
 
-    def active_nodes(self) -> tuple[TreeNode, ...]:
-        """The sites in preorder; for trees with an active root it comes first."""
-        return tuple(node for node in self.root.nodes() if node.is_active)
+    def __reduce__(self):
+        # Copies and pickles leave the walk behind; a copy makes its own.
+        return ElemTree, (self.name, self.auxiliary, self.root)
+
+    @functools.cached_property
+    def walk(self) -> TreeWalk:
+        """Built on first use; not a field, so equality, hashing, repr,
+        copies, pickles and dataclasses.replace ignore it."""
+        nodes = tuple(self.root.nodes())
+        sites = tuple([node for node in nodes if node.kind in ACTIVE_KINDS])
+        feet = [node for node in nodes if node.kind is _FOOT]
+        terms = [term for node in nodes for term in (node.top, node.bot) if term is not TOP]
+        used = frozenset().union(*[variables(term) for term in terms])
+        return TreeWalk(nodes, sites, feet[0] if feet else None, used)
 
     @property
     def root_active(self) -> bool:
         return self.root.is_active
-
-    def foot(self) -> Optional[TreeNode]:
-        for node in self.root.nodes():
-            if node.kind is NodeKind.FOOT:
-                return node
-        return None
 
 
 class ValidationError(ValueError):
@@ -144,7 +173,15 @@ class Tag:
             if tree.name.startswith("#"):
                 raise ValidationError(f"{where}: a tree name cannot start with '#'")
             names.add(tree.name)
-            feet = [n for n in tree.root.nodes() if n.kind is NodeKind.FOOT]
+            # One loop finds the feet and the first node at fault; a
+            # fault in the feet is reported first.
+            feet = []
+            bad = None
+            for node in tree.walk.nodes:
+                if node.kind is _FOOT:
+                    feet.append(node)
+                if bad is None and (fault := _node_fault(node, labels)):
+                    bad = f"{where}, node {node.label!r}: {fault}"
             if tree.auxiliary:
                 if len(feet) != 1:
                     raise ValidationError(f"auxiliary {where} needs exactly one foot node")
@@ -152,17 +189,15 @@ class Tag:
                     raise ValidationError(f"{where}: foot label must match root label")
             elif feet:
                 raise ValidationError(f"initial {where} cannot contain a foot node")
-            for node in tree.root.nodes():
-                fault = _node_fault(node, labels)
-                if fault:
-                    raise ValidationError(f"{where}, node {node.label!r}: {fault}")
+            if bad:
+                raise ValidationError(bad)
 
 
 def _node_fault(node: TreeNode, labels: set[str]) -> Optional[str]:
     """What breaks the rules at `node`, or None; `labels` holds the labels
     already checked, and gains this node's."""
     kind = node.kind
-    if kind is NodeKind.ANCHOR:
+    if kind is _ANCHOR:
         if '"' in node.label:
             return "an anchor word cannot contain '\"'"
     elif node.label not in labels:
@@ -170,15 +205,15 @@ def _node_fault(node: TreeNode, labels: set[str]) -> Optional[str]:
         if fault:
             return fault
         labels.add(node.label)
-    if kind is NodeKind.INTERNAL or kind is NodeKind.ADJUNCTION:
+    if kind is _INTERNAL or kind is _ADJUNCTION:
         return None
     if node.children:
         return f"{kind.value} node must be a leaf"
-    if kind is NodeKind.FOOT and not is_top(node.top):
+    if kind is _FOOT and not is_top(node.top):
         return "foot node carries only a bottom feature"
-    if kind is NodeKind.SUBSTITUTION and not is_top(node.bot):
+    if kind is _SUBSTITUTION and not is_top(node.bot):
         return "substitution site carries only a top feature"
-    if kind is NodeKind.ANCHOR and not (is_top(node.top) and is_top(node.bot)):
+    if kind is _ANCHOR and not (is_top(node.top) and is_top(node.bot)):
         return "anchor carries no features"
     return None
 
@@ -197,23 +232,25 @@ def _fail(text: str, pos: int, message: str) -> None:
 
 
 def _skip(text: str, pos: int) -> int:
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-        elif text[pos] == "#":
+    """The position of the next character that is neither blank nor in a
+    comment; blank is what `str.isspace` accepts."""
+    while True:
+        ch = text[pos:pos + 1]
+        if ch == "#":
             end = text.find("\n", pos)
             pos = len(text) if end < 0 else end
+        elif ch.isspace():
+            pos += 1
         else:
-            break
-    return pos
+            return pos  # a character to read, or the end of the text
 
 
 _STOP = _LABEL_DELIMITERS | frozenset(" \t\r\n")
 
 
 def _word(text: str, pos: int) -> tuple[str, int]:
-    start = pos
-    while pos < len(text) and text[pos] not in _STOP:
+    start, end = pos, len(text)
+    while pos < end and text[pos] not in _STOP:
         pos += 1
     if pos == start:
         _fail(text, pos, "expected a name")
@@ -235,8 +272,11 @@ def parse_tag(text: str) -> Tag:
         pos = _skip(text, pos)
         if pos >= len(text):
             break
+        at = pos
         keyword, pos = _word(text, pos)
         if keyword == "start":
+            if start is not None:
+                _fail(text, at, "duplicate start symbol")
             pos = _expect(text, pos, ":")
             pos = _skip(text, pos)
             start, pos = _word(text, pos)
@@ -276,13 +316,13 @@ def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
             end = text.find('"', pos)
             if end < 0:
                 _fail(text, pos, "unterminated word")
-            node = TreeNode(text[pos:end], NodeKind.ANCHOR)
+            node = TreeNode(text[pos:end], _ANCHOR)
             pos = _expect(text, end + 1, ")")
             if not stack:
                 return node, pos
             stack[-1][4].append(node)
         else:
-            stack.append([label, NodeKind.INTERNAL, TOP, TOP, []])
+            stack.append([label, _INTERNAL, TOP, TOP, []])
         # The open node's attributes and closed children, up to a child's '('.
         while True:
             pos = _skip(text, pos)
@@ -320,7 +360,7 @@ def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
 def format_tag(tag: Tag) -> str:
     """The grammar as `.tag` text; a `ValidationError` if a feature holds
     a name that `parse_tag` would not read back as itself."""
-    features = [term for tree in tag.trees for node in tree.root.nodes()
+    features = [term for tree in tag.trees for node in tree.walk.nodes
                 for term in (node.top, node.bot)]
     if bad := unreadable_name(features):
         raise ValidationError(f"{bad} would not read back from a .tag file")
@@ -338,11 +378,11 @@ def _format_node(root: TreeNode) -> str:
         node = stack.pop()
         if type(node) is str:
             parts.append(node)
-        elif node.kind is NodeKind.ANCHOR:
+        elif node.kind is _ANCHOR:
             parts.append(f'(word "{node.label}")')
         else:
             parts.append("(" + node.label)
-            if node.kind is not NodeKind.INTERNAL:
+            if node.kind is not _INTERNAL:
                 parts.append(f" kind={node.kind.value}")
             last = None
             for name, value in (("top", node.top), ("bot", node.bot)):

@@ -4,7 +4,9 @@ Every elementary tree becomes a single rule: the left-hand side is the
 tree's interface with the rest of the grammar, the slots are its active
 nodes in preorder.  Substitution sites use the _S flavor of the node
 label, adjunction sites the _A flavor, and one empty-adjunction rule
-per symbol closes sites where nothing adjoins.
+per symbol closes sites where nothing adjoins.  A tree is read through
+`ElemTree.walk`, its one preorder walk, which validating the TAG has
+already made: its nodes, sites, foot and variables.
 
 The feature variant threads the root's top structure through an
 interface variable shared between the left-hand side and the root
@@ -28,7 +30,7 @@ rewrites do.
 
 from __future__ import annotations
 
-from tagrtg.features import TOP, Avm, Var, is_top, variables
+from tagrtg.features import TOP, Avm, Var, is_top
 from tagrtg.rtg import (
     ADJOIN_SUFFIX,
     EPS_ADJOIN,
@@ -59,7 +61,7 @@ def symbols(tag: Tag) -> tuple[str, ...]:
         dict.fromkeys(
             node.label
             for tree in tag.trees
-            for node in tree.root.nodes()
+            for node in tree.walk.nodes
             if node.kind is not NodeKind.ANCHOR
         )
     )
@@ -68,7 +70,7 @@ def symbols(tag: Tag) -> tuple[str, ...]:
 def site_table(tag: Tag) -> tuple[tuple[str, SiteInfo], ...]:
     entries = []
     for tree in tag.trees:
-        kinds = tuple(node.kind.value for node in tree.active_nodes())
+        kinds = tuple(node.kind.value for node in tree.walk.sites)
         info = SiteInfo(
             "auxiliary" if tree.auxiliary else "initial",
             tree.root_active,
@@ -84,10 +86,7 @@ def node_nt(node: TreeNode) -> Nonterminal:
 
 def interface_var(tree: ElemTree) -> str:
     """INTERFACE_VAR, or the first numbered variant the tree does not use."""
-    used: set[str] = set()
-    for node in tree.root.nodes():
-        used |= variables(node.top)
-        used |= variables(node.bot)
+    used = tree.walk.variables
     name, count = INTERFACE_VAR, 0
     while name in used:
         name = f"{INTERFACE_VAR}{count}"
@@ -108,7 +107,7 @@ def _below_root(tree: ElemTree) -> tuple:
     bottom unchanged."""
     return tuple(
         (node_nt(node), _constraint(_pair(node.top, node.bot)))
-        for node in tree.active_nodes()
+        for node in tree.walk.sites
         if node is not tree.root
     )
 
@@ -125,7 +124,7 @@ def tree_rule(tree: ElemTree) -> FbRule:
     """
     t = interface_var(tree)
     root = tree.root
-    foot_bot = tree.foot().bot if tree.auxiliary else TOP
+    foot_bot = tree.walk.foot.bot if tree.auxiliary else TOP
     first = _pair(Var(t) if tree.root_active else TOP, foot_bot)
     interface = _constraint(first, _pair(root.top, TOP))
     slots = _below_root(tree)
@@ -223,7 +222,7 @@ def lc_fbrtg(tag: Tag) -> FbRtg:
         )
     for tree in tag.auxiliaries:
         t = Var(interface_var(tree))
-        chain = (tree.root.label, _constraint(_pair(t, tree.foot().bot)))
+        chain = (tree.root.label, _constraint(_pair(t, tree.walk.foot.bot)))
         rules.append(
             FbRule(
                 tree.root.label,

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +39,7 @@ def test_round_trip(fig2):
 def test_active_nodes_in_preorder(fig2):
     caught = elem_tree(fig2, "caught")
     assert not caught.root_active
-    sites = caught.active_nodes()
+    sites = caught.walk.sites
     assert [(n.label, n.kind) for n in sites] == [
         ("NP", NodeKind.SUBSTITUTION),
         ("VP", NodeKind.ADJUNCTION),
@@ -45,19 +48,19 @@ def test_active_nodes_in_preorder(fig2):
 
     one_of = elem_tree(fig2, "one of")
     assert one_of.root_active
-    assert [n.label for n in one_of.active_nodes()] == ["NP", "D", "P", "N"]
+    assert [n.label for n in one_of.walk.sites] == ["NP", "D", "P", "N"]
 
 
 def test_features_land_on_the_right_nodes(fig2):
     caught = elem_tree(fig2, "caught")
-    subject, vp, _ = caught.active_nodes()
+    subject, vp, _ = caught.walk.sites
     assert subject.top == Avm((("agr", Var("x")),))
     assert vp.top == Avm((("agr", Var("x")), ("mode", Atom("ind"))))
     assert vp.bot == Avm((("mode", Atom("ppart")),))
 
     the = elem_tree(fig2, "the")
-    assert the.foot().bot == Avm((("agr", Var("x")), ("const", Atom("-"))))
-    assert the.foot().top == TOP
+    assert the.walk.foot.bot == Avm((("agr", Var("x")), ("const", Atom("-"))))
+    assert the.walk.foot.top == TOP
 
 
 def test_anchors_are_leaves_with_word_labels(fig2):
@@ -66,10 +69,23 @@ def test_anchors_are_leaves_with_word_labels(fig2):
     assert anchors == ["one", "of"]
 
 
+# Every character other than space, tab, CR and LF that `str.isspace`
+# accepts, and a comment: the reader skips each as a blank.
+OTHER_BLANKS = ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "# c\n"]
+# The TAG-level places where the reader skips blanks, marked by "|":
+# after '{', '(', ')', ';', ':' and 'kind=', and before '}'.  Feature
+# terms hold none, since '#' is an atom character there.
+MARKED_TAG = 'start:|X;|initial t {|(|X kind=|adj top=[a: b] (|word "w")|)|}|'
+
+
 def test_comments_and_whitespace_are_skipped():
     tag = parse_tag("# heading\nstart: X; # trailing\ninitial t { (X kind=adj) }\n")
     assert tag.start == "X"
-    assert len(elem_tree(tag, "t").active_nodes()) == 1
+    assert len(elem_tree(tag, "t").walk.sites) == 1
+    plain = parse_tag(MARKED_TAG.replace("|", " "))
+    assert all(c.isspace() for c in OTHER_BLANKS[:-1])
+    for blank in OTHER_BLANKS:
+        assert parse_tag(MARKED_TAG.replace("|", blank)) == plain, repr(blank)
 
 
 def test_parse_error_reports_position():
@@ -78,22 +94,38 @@ def test_parse_error_reports_position():
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "initial t { (X) }",  # no start symbol
-        "start: S; initial t { (X kind=foot) }",  # foot in initial tree
-        "start: S; auxiliary t { (X (word \"w\")) }",  # no foot
-        "start: S; auxiliary t { (X (Y kind=foot)) }",  # foot label mismatch
-        "start: S; auxiliary t { (X (X kind=foot top=[a: b])) }",  # foot with top
-        "start: S; initial t { (X (Y kind=subst (word \"w\"))) }",  # subst not a leaf
-        "start: S; initial t { (X) } initial t { (X) }",  # duplicate name
-        "start: S; initial t { (X (Y kind=subst bot=[a: b])) }",  # subst with bot
-    ],
-)
-def test_validation_rejects(text):
-    with pytest.raises((ValidationError, ParseError)):
+# The first fault of each text, as its exception's type and message.
+REJECTED = [
+    ("initial t { (X) }", ParseError, "missing start symbol (line 1, column 18)"),
+    ("start: S; start: T; initial t { (T kind=adj) }", ParseError,
+     "duplicate start symbol (line 1, column 11)"),
+    ("start: S; initial t { (X kind=foot) }", ValidationError,
+     "initial tree 't' cannot contain a foot node"),
+    ('start: S; auxiliary t { (X (word "w")) }', ValidationError,
+     "auxiliary tree 't' needs exactly one foot node"),
+    ("start: S; auxiliary t { (X (Y kind=foot)) }", ValidationError,
+     "tree 't': foot label must match root label"),
+    ("start: S; auxiliary t { (X (X kind=foot top=[a: b])) }", ValidationError,
+     "tree 't', node 'X': foot node carries only a bottom feature"),
+    ('start: S; initial t { (X (Y kind=subst (word "w"))) }', ValidationError,
+     "tree 't', node 'Y': subst node must be a leaf"),
+    ("start: S; initial t { (X) } initial t { (X) }", ValidationError, "duplicate tree 't'"),
+    ("start: S; initial t { (X (Y kind=subst bot=[a: b])) }", ValidationError,
+     "tree 't', node 'Y': substitution site carries only a top feature"),
+    # A fault in the feet is reported before a node's, even one that
+    # comes first in preorder.
+    ("start: S; auxiliary t { (X (Y kind=subst bot=[a: b]) (Z kind=foot)) }",
+     ValidationError, "tree 't': foot label must match root label"),
+    ("start: S; initial t { (X (Y kind=subst bot=[a: b]) (X kind=foot)) }",
+     ValidationError, "initial tree 't' cannot contain a foot node"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", REJECTED, ids=[row[0] for row in REJECTED])
+def test_validation_rejects(text, error, message):
+    with pytest.raises(error) as err:
         parse_tag(text)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_save_and_load(tmp_path, fig2):
@@ -161,6 +193,16 @@ def test_tree_names_cannot_hold_rtg_delimiters(char):
     root = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
     with pytest.raises(ValidationError, match="a tree name cannot contain"):
         Tag("S", (ElemTree(f"x{char}y", False, root),))
+
+
+def test_the_walk_is_not_part_of_the_value():
+    tree = ElemTree("t", False, TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),)))
+    unwalked = pickle.dumps(tree)
+    assert [node.label for node in tree.walk.nodes] == ["S", "w"]
+    assert pickle.dumps(tree) == unwalked and "walk" not in repr(tree)
+    for again in (pickle.loads(unwalked), copy.copy(tree), copy.deepcopy(tree)):
+        assert again == tree and hash(again) == hash(tree) and "walk" not in vars(again)
+        assert again.walk == tree.walk
 
 
 def test_tree_names_cannot_start_an_rtg_comment():

@@ -5,13 +5,17 @@ one rule per elementary tree, one empty-adjunction rule per symbol, so
 3 + 4 + 6 = 13 rules before reduction.
 """
 
+from unittest import mock
+
 import pytest
 
+from inputs import replicate_text
 from tagrtg.rtg import EPS_ADJOIN, EPS_SUBST, AlphabetError, erase_features, reduce_grammar
 from tagrtg.rtg_io import format_rtg, parse_rtg
-from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, parse_tag
+from tagrtg.tag import ElemTree, NodeKind, Tag, TreeNode, bundled_grammar, parse_tag
 from tagrtg.features import parse_feature
 from tagrtg.translate import lc_fbrtg, site_table, symbols, to_fbrtg
+from tagrtg.trees import ValueTree
 
 UNREDUCED = [
     "S_S -> caught(NP_S [top: [agr: ?x]], VP_A [top: [agr: ?x, mode: ind], bot: [mode: ppart]], NP_S)",
@@ -34,6 +38,17 @@ def test_translation_is_one_rule_per_tree_plus_closures(fig2):
     grammar = to_fbrtg(fig2)
     grammar.validate()
     assert [str(r) for r in grammar.rules] == UNREDUCED
+
+
+def test_parsing_and_both_translations_walk_each_elementary_tree_once():
+    text = replicate_text(bundled_grammar("fig2").read_text(encoding="utf-8"), 10)
+    with mock.patch.object(ValueTree, "nodes", autospec=True, side_effect=ValueTree.nodes) as walk:
+        tag = parse_tag(text)
+        to_fbrtg(tag)
+        lc_fbrtg(tag)
+    walked = [call.args[0] for call in walk.call_args_list]
+    assert len(walked) == len(tag.trees) == 70
+    assert all(root is tree.root for root, tree in zip(walked, tag.trees))
 
 
 def test_symbol_alphabet_skips_anchors(fig2):
