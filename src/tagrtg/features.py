@@ -20,11 +20,18 @@ by term.  `read_back` turns nodes into terms, `bindings` reads what a
 trail bound.  `unify`, `unify_all`, `apply`, `compose` and `freshen` are
 a term view no library module calls, kept off the package surface for
 the law tests and the benchmark's tracer, which looks them up by name.
+
+Terms are immutable values, so equal terms may be one object.  The two
+file readers, `parse_tag` and `parse_rtg`, read each distinct AVM text
+of a file once and share the term wherever that text recurs in the file
+(structure sharing, Pereira 1985, done at read time as hash-consing);
+the table lives for one call of the reader, so no two files share one.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -404,22 +411,30 @@ class FeatureSyntaxError(ValueError):
         self.position = position
 
 
-_STRUCTURAL = set("[]:,?")
+# A name: up to whitespace, which `\s` and `str.isspace` agree on, or one
+# of the characters that structure a term.
+_NAME = re.compile(r"[^\s\[\]:,?]+")
 
 
 def unreadable_name(terms: Iterable[FeatureTerm]) -> Optional[str]:
     """An atom, variable or attribute name in `terms` that `parse_feature`
     would not read back as itself, such as "atom 'a b'", or None: one
     that is empty, or holds whitespace or one of ``[]:,?``.  One walk
-    collects the distinct names of each kind; each is tested once."""
+    visits each distinct AVM object once, so a term a reader shared is
+    walked once, and collects the distinct names of each kind; each is
+    tested once."""
     atoms: dict[str, None] = {}
     names: dict[str, None] = {}
     keys: dict[str, None] = {}
+    seen: set[int] = set()
     stack = list(terms)
     while stack:
         term = stack.pop()
         cls = type(term)
         if cls is Avm:
+            if id(term) in seen:
+                continue
+            seen.add(id(term))
             for key, value in term.entries:
                 keys[key] = None
                 stack.append(value)
@@ -429,7 +444,7 @@ def unreadable_name(terms: Iterable[FeatureTerm]) -> Optional[str]:
             names[term.name] = None
     for kind, found in (("atom", atoms), ("variable", names), ("attribute", keys)):
         for name in found:
-            if not name or any(ch.isspace() or ch in _STRUCTURAL for ch in name):
+            if not _NAME.fullmatch(name):
                 return f"{kind} {name!r}"
     return None
 
@@ -450,17 +465,55 @@ def _skip_ws(text, pos):
 
 
 def _parse_name(text, pos):
-    start = pos
-    while pos < len(text) and not text[pos].isspace() and text[pos] not in _STRUCTURAL:
-        pos += 1
-    if pos == start:
+    name = _NAME.match(text, pos)
+    if name is None:
         raise FeatureSyntaxError("expected a name", pos)
-    return text[start:pos], pos
+    return name[0], name.end()
 
 
-def parse_feature_at(text: str, pos: int) -> tuple[FeatureTerm, int]:
-    """Parse one feature term starting at `pos`, for embedding in other syntax."""
+def _avm_end(text, pos):
+    """The position after the ']' that matches the '[' at `pos`, or -1.
+    No name holds a bracket, so in text that parses this is where the
+    AVM ends; a flat AVM takes one pass of the loop."""
+    depth = 1
+    pos += 1
+    while True:
+        close = text.find("]", pos)
+        if close < 0:
+            return -1
+        inner = text.find("[", pos, close)
+        if inner < 0:
+            depth -= 1
+            pos = close + 1
+            if not depth:
+                return pos
+        else:
+            depth += 1
+            pos = inner + 1
+
+
+def parse_feature_at(
+    text: str, pos: int, shared: Optional[dict] = None
+) -> tuple[FeatureTerm, int]:
+    """Parse one feature term starting at `pos`, for embedding in other syntax.
+
+    A reader passes `shared`, one dict for each text it reads, to get one
+    term object for each distinct AVM text: an AVM is looked up by its
+    exact text, up to its matching ']', and parsed only when it is not
+    there yet.  The dict lives as long as the reader's call, so terms are
+    shared within one file and never across files.  Terms are immutable,
+    so sharing changes no value; malformed text is parsed from the same
+    offset as without `shared`, and fails the same way."""
     pos = _skip_ws(text, pos)
+    if shared is not None and text.startswith("[", pos):
+        end = _avm_end(text, pos)
+        if end > 0:
+            key = text[pos:end]
+            term = shared.get(key)
+            if term is None:
+                term, end = parse_feature_at(text, pos)
+                shared[key] = term
+            return term, end
     if pos >= len(text):
         raise FeatureSyntaxError("unexpected end of input", pos)
     ch = text[pos]

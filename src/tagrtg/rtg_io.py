@@ -24,8 +24,9 @@ constraint: conjuncts joined by ``&``, each of them whatever
 `parse_feature` reads from where the last one ended.  So an atom may
 contain ``(``, ``)``, ``&`` or ``->``, and a bare atom or variable ends
 only at whitespace or at one of ``[]:,?``; one that ends a slot list is
-written with a space before the ``)``.  Terminal names may contain
-spaces and ``/``.
+written with a space before the ``)``.  An AVM conjunct whose text
+occurred before in the file is not read again: it is the term read the
+first time.  Terminal names may contain spaces and ``/``.
 
 The writer refuses a grammar with a name the reader would not read back
 as itself: an empty nonterminal; a name with a comma, a line break or
@@ -146,9 +147,12 @@ _SPACE = re.compile(r"\s*")
 _NAME = re.compile(r"\s*((?:[^\s,()-]|-(?!>))+)(\s*)")
 
 
-def _parse_slot(text: str, pos: int, ends: tuple[str, ...], line: int) -> tuple[Slot, int]:
+def _parse_slot(
+    text: str, pos: int, ends: tuple[str, ...], line: int, shared: dict
+) -> tuple[Slot, int]:
     """Read a nonterminal at `pos` and the conjuncts after it, up to one
-    of `ends`; returns the slot and the position after it."""
+    of `ends`; returns the slot and the position after it.  AVMs are read
+    through `shared`, the file's table of `parse_feature_at`."""
     name = _NAME.match(text, pos)
     if name is None:
         raise RtgParseError("empty slot", line)
@@ -159,7 +163,7 @@ def _parse_slot(text: str, pos: int, ends: tuple[str, ...], line: int) -> tuple[
     conjuncts = []
     while True:
         try:
-            term, pos = parse_feature_at(text, start)
+            term, pos = parse_feature_at(text, start, shared)
         except FeatureSyntaxError as err:
             raise RtgParseError(f"bad feature term in {text!r}: {err}", line) from None
         conjuncts.append(term)
@@ -174,10 +178,10 @@ def _parse_slot(text: str, pos: int, ends: tuple[str, ...], line: int) -> tuple[
             raise RtgParseError("empty conjunct in constraint", line)
 
 
-def _parse_rule(text: str, line: int) -> FbRule:
+def _parse_rule(text: str, line: int, shared: dict) -> FbRule:
     if "->" not in text:
         raise RtgParseError("rule is missing '->'", line)
-    (lhs, lhs_feat), pos = _parse_slot(text, 0, ("->",), line)
+    (lhs, lhs_feat), pos = _parse_slot(text, 0, ("->",), line, shared)
     if not text.startswith("->", pos):
         raise RtgParseError("rule is missing '->'", line)
     pos = _SPACE.match(text, pos + 2).end()
@@ -192,7 +196,7 @@ def _parse_rule(text: str, line: int) -> FbRule:
     slots = []
     pos = paren
     while True:
-        slot, pos = _parse_slot(text, pos + 1, (",", ")"), line)
+        slot, pos = _parse_slot(text, pos + 1, (",", ")"), line, shared)
         slots.append(slot)
         if not text.startswith(",", pos):
             break
@@ -289,7 +293,8 @@ def parse_rtg(text: str) -> FbRtg:
         terminals.append((name.strip(), int(rank)))
 
     sites = tuple(_parse_site(entry, n) for entry, n in _block(lines, "sites"))
-    rules = tuple(_parse_rule(entry, n) for entry, n in _block(lines, "rules"))
+    shared: dict = {}  # each distinct AVM text of this file, read once
+    rules = tuple(_parse_rule(entry, n, shared) for entry, n in _block(lines, "rules"))
     line, number = next(lines)
     if line is not None:
         raise RtgParseError(f"unexpected trailing content {line!r}", number)

@@ -78,6 +78,7 @@ class TreeWalk(NamedTuple):
     nodes: tuple[TreeNode, ...]  # root first
     sites: tuple[TreeNode, ...]  # the active nodes; an active root comes first
     foot: Optional[TreeNode]  # the foot node of an auxiliary tree, or None
+    features: tuple[FeatureTerm, ...]  # the distinct top and bottom objects, top left out
     variables: frozenset[str]  # the variables of every top and bottom
 
 
@@ -101,9 +102,11 @@ class ElemTree:
         nodes = tuple(self.root.nodes())
         sites = tuple([node for node in nodes if node.kind in ACTIVE_KINDS])
         feet = [node for node in nodes if node.kind is _FOOT]
-        terms = [term for node in nodes for term in (node.top, node.bot) if term is not TOP]
-        used = frozenset().union(*[variables(term) for term in terms])
-        return TreeWalk(nodes, sites, feet[0] if feet else None, used)
+        # A term the reader shared between nodes is walked once.
+        distinct = {id(term): term for node in nodes for term in (node.top, node.bot)}
+        features = tuple([term for term in distinct.values() if not is_top(term)])
+        used = frozenset().union(*[variables(term) for term in features])
+        return TreeWalk(nodes, sites, feet[0] if feet else None, features, used)
 
     @property
     def root_active(self) -> bool:
@@ -138,8 +141,9 @@ def _label_fault(label: str) -> Optional[str]:
 @dataclass(frozen=True)
 class Tag:
     """A validated grammar: construction raises `ValidationError` on a
-    TAG that breaks the tree-shape rules of `validate`, or whose names
-    the `.tag` and `.rtg` formats cannot write and read back."""
+    TAG that breaks the tree-shape rules of `validate`, or whose names,
+    feature names included, the `.tag` and `.rtg` formats cannot write
+    and read back."""
 
     start: str
     trees: tuple[ElemTree, ...] = field(default_factory=tuple)
@@ -191,6 +195,8 @@ class Tag:
                 raise ValidationError(f"initial {where} cannot contain a foot node")
             if bad:
                 raise ValidationError(bad)
+        if bad := unreadable_name(term for tree in self.trees for term in tree.walk.features):
+            raise ValidationError(f"{bad} would not read back from a .tag file")
 
 
 def _node_fault(node: TreeNode, labels: set[str]) -> Optional[str]:
@@ -267,6 +273,7 @@ def _expect(text: str, pos: int, ch: str) -> int:
 def parse_tag(text: str) -> Tag:
     start: Optional[str] = None
     trees: list[ElemTree] = []
+    shared: dict = {}  # each distinct AVM text of this file, read once
     pos = 0
     while True:
         pos = _skip(text, pos)
@@ -288,7 +295,7 @@ def parse_tag(text: str) -> Tag:
             name = " ".join(text[pos:brace].split())
             if not name:
                 _fail(text, pos, "expected a tree name")
-            root, pos = _parse_node(text, _skip(text, brace + 1))
+            root, pos = _parse_node(text, _skip(text, brace + 1), shared)
             pos = _expect(text, pos, "}")
             trees.append(ElemTree(name, keyword == "auxiliary", root))
         else:
@@ -301,10 +308,11 @@ def parse_tag(text: str) -> Tag:
 _KINDS = {k.value: k for k in (NodeKind.ADJUNCTION, NodeKind.SUBSTITUTION, NodeKind.FOOT)}
 
 
-def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
+def _parse_node(text: str, pos: int, shared: dict) -> tuple[TreeNode, int]:
     """One tree from its opening '(' on, in one loop that keeps each node
     whose ')' is still to come on a stack: its label, kind, top, bottom
-    and the children read so far."""
+    and the children read so far.  AVMs are read through `shared`, the
+    file's table of `parse_feature_at`."""
     stack: list[list] = []
     pos = _expect(text, pos, "(")
     while True:
@@ -349,7 +357,7 @@ def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
                 stack[-1][1] = _KINDS[value]
             elif key in ("top", "bot"):
                 try:
-                    term, pos = parse_feature_at(text, pos)
+                    term, pos = parse_feature_at(text, pos, shared)
                 except FeatureSyntaxError as err:
                     _fail(text, err.position, str(err))
                 stack[-1][2 if key == "top" else 3] = term
@@ -358,12 +366,7 @@ def _parse_node(text: str, pos: int) -> tuple[TreeNode, int]:
 
 
 def format_tag(tag: Tag) -> str:
-    """The grammar as `.tag` text; a `ValidationError` if a feature holds
-    a name that `parse_tag` would not read back as itself."""
-    features = [term for tree in tag.trees for node in tree.walk.nodes
-                for term in (node.top, node.bot)]
-    if bad := unreadable_name(features):
-        raise ValidationError(f"{bad} would not read back from a .tag file")
+    """The grammar as `.tag` text, which `parse_tag` reads back as `tag`."""
     lines = [f"start: {tag.start};"]
     for tree in tag.trees:
         keyword = "auxiliary" if tree.auxiliary else "initial"

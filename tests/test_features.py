@@ -10,9 +10,10 @@ acceptance criterion 9 leave out.
 import copy
 import itertools
 import pickle
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from tagrtg.features import (
     IDENTITY,
@@ -30,11 +31,13 @@ from tagrtg.features import (
     instantiate,
     is_top,
     parse_feature,
+    parse_feature_at,
     read_back,
     undo,
     unify,
     unify_all,
     unify_nodes,
+    unreadable_name,
     variables,
 )
 from terms import alpha_equal, is_idempotent, term_strategy
@@ -303,6 +306,51 @@ def test_parse_feature(text, term):
 def test_parse_feature_rejects(text):
     with pytest.raises(FeatureSyntaxError):
         parse_feature(text)
+
+
+def _read(text, pos, shared):
+    """What `parse_feature_at` reads: the term and its end, or the error
+    message and its offset."""
+    try:
+        return parse_feature_at(text, pos, shared)
+    except FeatureSyntaxError as err:
+        return str(err), err.position
+
+
+# Text around an embedded term: blanks, non-ASCII ones too, and
+# characters that continue or end a term.
+AROUND = st.text(st.sampled_from(" \t\n\xa0\u3000ab?:,[]"), max_size=4)
+
+
+@settings(max_examples=1000)
+@given(term_strategy(), AROUND, AROUND, st.data())
+def test_a_shared_read_is_a_plain_read(term, before, after, data):
+    # A term at an offset, and the same text with one character deleted,
+    # read the same with a fresh table (misses), with a table that holds
+    # the intact text's terms (hits) and without one: the same term and
+    # end, or the same error at the same offset.
+    text = before + format_feature(term) + after
+    plain, filled = _read(text, len(before), None), {}
+    assert _read(text, len(before), {}) == plain
+    assert _read(text, len(before), filled) == plain  # fills the table
+    assert _read(text, len(before), filled) == plain  # reads from it
+    cut = data.draw(st.integers(0, len(text) - 1))
+    short, pos = text[:cut] + text[cut + 1:], len(before) - (cut < len(before))
+    plain = _read(short, pos, None)
+    assert _read(short, pos, {}) == plain
+    assert _read(short, pos, filled) == plain
+
+
+def test_a_name_ends_at_exactly_the_characters_str_isspace_accepts():
+    # Over every code point: each one that is neither blank by
+    # `str.isspace` nor one of []:,? continues a name, and each blank
+    # ends one, for the reader and for the writers' check alike.
+    chars = [chr(point) for point in range(sys.maxunicode + 1)]
+    name = "".join(c for c in chars if not c.isspace() and c not in "[]:,?")
+    assert parse_feature(name) == Atom(name) and unreadable_name([Atom(name)]) is None
+    for blank in [c for c in chars if c.isspace()]:
+        assert parse_feature_at(f"a{blank}b", 0) == (Atom("a"), 1)
+        assert unreadable_name([Atom(f"a{blank}b")]) == f"atom {'a' + blank + 'b'!r}"
 
 
 def test_format_feature_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagrtg import rtg_io
-from tagrtg.features import Atom, Avm, Var, parse_feature
+from tagrtg.features import TOP, Atom, Avm, Var, parse_feature
 from tagrtg.rtg import (
     FbRtg,
     FbRule,
@@ -100,6 +100,18 @@ def test_bare_terms_round_trip():
     assert "X a->b & ?v & [f: g(] -> t(Y b) & ?w, X ?u) );" in text
     assert "Y a&b -> u(X [f: ?v] & c );" in text
     assert parse_rtg(text) == grammar
+
+
+def test_a_read_shares_each_distinct_avm_and_no_avm_with_another_read():
+    def avms(grammar):
+        return [term for rule in grammar.rules
+                for conjuncts in (rule.lhs_feat, *(feat for _, feat in rule.rhs))
+                for term in conjuncts if isinstance(term, Avm)]
+
+    first, again = avms(parse_rtg(FEATURE_FILE)), avms(parse_rtg(FEATURE_FILE))
+    ids = {id(term) for term in first}
+    assert len(ids) == len(set(first)) < len(first)  # equal AVMs are one object
+    assert ids & {id(term) for term in again} <= {id(TOP)}
 
 
 def test_plain_grammar_round_trips(plain_grammar):
@@ -197,6 +209,20 @@ FISH = "NP_S [top: ?t] -> fish(NP_A [top: ?t]);"
         (
             lambda t: t.replace(FISH, "NP_S -> fish(NP_A [top: ?t] [bot: ?t]);"),
             "expected '&' or ',' or ')' after [top: ?t]",
+        ),
+        # The reader's shared AVMs fail as a plain read does; see the same
+        # cases in tests/test_tag.py.
+        *(
+            (lambda t, rule=rule: t.replace(FISH, rule),
+             f"bad feature term in {rule[:-1]!r}: {error}")
+            for rule, error in [
+                ("NP_S [top: ?t -> fish(NP_A [top: ?t]);", "expected ',' or ']' (at offset 14)"),
+                ("NP_S [top: ?t -> fish(NP_A [top: ?t]]);", "expected ',' or ']' (at offset 14)"),
+                ("NP_S [top: ?t, top: ?t] -> fish(NP_A [top: ?t, top: ?t]);",
+                 "duplicate attribute 'top' (at offset 22)"),
+                ("NP_S [top: ?t] &\u3000\xa0[bot: ?t ?u] -> fish(NP_A [top: ?t]);",
+                 "expected ',' or ']' (at offset 27)"),
+            ]
         ),
         (lambda t: t.replace("  " + FISH + "\n", ""), None),
     ],

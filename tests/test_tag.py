@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from inputs import replicate_text
 
 from tagrtg.features import TOP, Atom, Avm, Var
 from tagrtg.rtg import GrammarError, reduce_grammar
@@ -14,6 +15,7 @@ from tagrtg.tag import (
     Tag,
     TreeNode,
     ValidationError,
+    bundled_grammar,
     format_tag,
     load_tag,
     parse_tag,
@@ -118,6 +120,18 @@ REJECTED = [
      ValidationError, "tree 't': foot label must match root label"),
     ("start: S; initial t { (X (Y kind=subst bot=[a: b]) (X kind=foot)) }",
      ValidationError, "initial tree 't' cannot contain a foot node"),
+    # The reader's shared AVMs fail as a plain read does: an unclosed AVM,
+    # with and without a later ']' that closes the bracket count; a
+    # duplicate attribute in an AVM text that recurs; stray non-ASCII
+    # blanks before a term.
+    ("start: S; initial t { (X top=[a: b (Y top=[c: d])) }", ParseError,
+     "expected ',' or ']' (at offset 35) (line 1, column 36)"),
+    ("start: S; initial t { (X top=[a: b (Y top=[c: d])]) }", ParseError,
+     "expected ',' or ']' (at offset 35) (line 1, column 36)"),
+    ('start: S;\ninitial t { (X bot=[a: b, a: c] (Y kind=adj bot=[a: b, a: c]) (word "w")) }',
+     ParseError, "duplicate attribute 'a' (at offset 40) (line 2, column 31)"),
+    ("start: S;\ninitial t { (X top= [a: b] bot=\xa0\u3000[a: b c]) }", ParseError,
+     "expected ',' or ']' (at offset 49) (line 2, column 40)"),
 ]
 
 
@@ -126,6 +140,19 @@ def test_validation_rejects(text, error, message):
     with pytest.raises(error) as err:
         parse_tag(text)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_a_read_shares_each_distinct_avm_and_no_avm_with_another_read():
+    text = replicate_text(bundled_grammar("fig2").read_text(), 10)
+
+    def avms(tag):
+        return [term for tree in tag.trees for node in tree.walk.nodes
+                for term in (node.top, node.bot) if isinstance(term, Avm)]
+
+    first, again = avms(parse_tag(text)), avms(parse_tag(text))
+    ids = {id(term) for term in first}
+    assert len(ids) == len(set(first)) < len(first)  # equal AVMs are one object
+    assert ids & {id(term) for term in again} == {id(TOP)}
 
 
 def test_save_and_load(tmp_path, fig2):
@@ -150,14 +177,20 @@ def test_bare_last_attribute_of_a_childless_node_round_trips(tmp_path, term):
     assert load_tag(path) == tag
 
 
-def test_writer_refuses_feature_names_that_would_not_read_back(tmp_path):
-    site = TreeNode("NP", NodeKind.SUBSTITUTION, top=Atom("a b"))
-    tag = Tag("S", (ElemTree("t", False, TreeNode("S", children=(site,))),))
-    path = tmp_path / "out.tag"
-    with pytest.raises(ValidationError) as err:
-        save_tag(tag, path)
-    assert str(err.value) == "atom 'a b' would not read back from a .tag file"
-    assert not path.exists()  # formatted before the file is opened
+def test_writer_refuses_feature_names_that_would_not_read_back():
+    # A `Tag` refuses such a name when it is built, so the writer never
+    # meets one; the name may sit in any tree, at any depth of a term.
+    good = TreeNode("S", children=(TreeNode("w", NodeKind.ANCHOR),))
+    for term, refused in [
+        (Atom("a b"), "atom 'a b'"),
+        (Avm((("agr", Var("x]")),)), "variable 'x]'"),
+        (Avm((("agr", Avm((("a:b", Atom("x")),))),)), "attribute 'a:b'"),
+    ]:
+        site = TreeNode("NP", NodeKind.SUBSTITUTION, top=term)
+        trees = (ElemTree("s", False, good), ElemTree("t", False, TreeNode("S", children=(site,))))
+        with pytest.raises(ValidationError) as err:
+            Tag("S", trees)
+        assert str(err.value) == f"{refused} would not read back from a .tag file"
 
 
 def test_format_tag_prints_trees_deeper_than_the_recursion_limit():
